@@ -195,16 +195,9 @@ def pearson(x, y) -> float:
         raise DegenerateVarianceError("pearson requires at least 2 observations")
     xd = xs.data[:, 0] - xs.data[:, 0].mean()
     yd = ys.data[:, 0] - ys.data[:, 0].mean()
-    mx = float(np.max(np.abs(xd)))
-    my = float(np.max(np.abs(yd)))
-    if mx == 0.0 or my == 0.0:
-        raise DegenerateVarianceError("pearson is undefined for constant samples")
-    # r is scale-invariant.  Scaling each side by a power of two near its
-    # largest deviation is exact, and keeps the squares of tiny but
-    # nonzero deviations from underflowing to 0.
-    xd = np.ldexp(xd, -np.frexp(mx)[1])
-    yd = np.ldexp(yd, -np.frexp(my)[1])
     sx = float(np.sqrt(np.sum(xd * xd)))
     sy = float(np.sqrt(np.sum(yd * yd)))
+    if sx == 0.0 or sy == 0.0:
+        raise DegenerateVarianceError("pearson is undefined for constant samples")
     r = float(np.sum(xd * yd)) / (sx * sy)
     return float(np.clip(r, -1.0, 1.0))
