@@ -2,7 +2,6 @@
 
 from .core import (
     CenteredMatrix,
-    DistanceMatrix,
     PairStats,
     dcor,
     dcov_sq,
@@ -39,7 +38,6 @@ __all__ = [
     "CenteredMatrix",
     "CorrelationTable",
     "Dataset",
-    "DistanceMatrix",
     "OutlierRule",
     "PairRecord",
     "PairStats",

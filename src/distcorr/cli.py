@@ -10,6 +10,7 @@ import argparse
 import json
 import secrets
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -79,17 +80,7 @@ def _add_quad_flags(parser):
 def cmd_compute(args) -> int:
     x = _load_sample(args.x, args.delimiter)
     y = _load_sample(args.y, args.delimiter)
-    stats = dcor(x, y, memory_budget=args.memory_budget)
-    _emit(
-        {
-            "dcov_sq": stats.dcov_sq,
-            "dvar_x": stats.dvar_x,
-            "dvar_y": stats.dvar_y,
-            "dcor": stats.dcor,
-            "pearson": stats.pearson,
-            "n": stats.n,
-        }
-    )
+    _emit(asdict(dcor(x, y, memory_budget=args.memory_budget)))
     return 0
 
 
@@ -97,16 +88,7 @@ def cmd_test(args) -> int:
     x = _load_sample(args.x, args.delimiter)
     y = _load_sample(args.y, args.delimiter)
     seed = _resolve_seed(args.seed)
-    res = permutation_test(x, y, args.replicates, seed)
-    _emit(
-        {
-            "statistic": res.statistic,
-            "replicates": res.replicates,
-            "exceed_count": res.exceed_count,
-            "p_value": res.p_value,
-            "seed": res.seed,
-        }
-    )
+    _emit(asdict(permutation_test(x, y, args.replicates, seed)))
     return 0
 
 
@@ -133,11 +115,10 @@ def cmd_screen(args) -> int:
     emit_plot_data(table, args.format, args.out)
     for warning in table.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    groups = sorted({r.group for r in table.records})
     _emit(
         {
             "out": args.out,
-            "groups": len(groups),
+            "groups": len({r.group for r in table.records}),
             "pairs": len(table.records),
             "flagged": sum(1 for r in table.records if r.flags),
             "dropped_rows": dataset.dropped_rows,
@@ -149,21 +130,8 @@ def cmd_screen(args) -> int:
 
 def cmd_power(args) -> int:
     seed = _resolve_seed(args.seed)
-    report = power_simulation(
-        args.scenario, args.n, args.trials, args.alpha, args.replicates, seed
-    )
-    _emit(
-        {
-            "scenario": report.scenario,
-            "n": report.n,
-            "trials": report.trials,
-            "alpha": report.alpha,
-            "replicates": report.replicates,
-            "rejection_rate_dcov": report.rejection_rate_dcov,
-            "rejection_rate_pearson": report.rejection_rate_pearson,
-            "seed": report.seed,
-        }
-    )
+    report = power_simulation(args.scenario, args.n, args.trials, args.alpha, args.replicates, seed)
+    _emit(asdict(report))
     return 0
 
 
@@ -201,16 +169,7 @@ def cmd_verify_singular(args) -> int:
     ok = abs(check.numeric - check.closed_form) <= max(
         1e-4 * denom, 3 * check.error_estimate
     )
-    _emit(
-        {
-            "alpha": args.alpha,
-            "x": args.x,
-            "numeric": check.numeric,
-            "closed_form": check.closed_form,
-            "error_estimate": check.error_estimate,
-            "pass": ok,
-        }
-    )
+    _emit({"alpha": args.alpha, "x": args.x, **asdict(check), "pass": ok})
     if not ok:
         raise VerificationFailure("singular integral disagrees with closed form")
     return 0

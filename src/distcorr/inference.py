@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import double_center, pairwise_distances
+from .core import DEFAULT_MEMORY_BUDGET, _inputs, double_center
 from .errors import DataQualityError
-from .samples import as_sample, check_same_n
 
 
 @dataclass(frozen=True)
@@ -45,33 +44,43 @@ def _replicate_rng(seed: int, b: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
 
 
+def _exceedances(statistic, observed: float, n: int, replicates: int, seed: int) -> int:
+    """How many replicate permutations give a statistic >= observed (ties count)."""
+    perms = (_replicate_rng(seed, rep).permutation(n) for rep in range(1, replicates + 1))
+    return sum(statistic(perm) >= observed for perm in perms)
+
+
 def permutation_test(x, y, replicates: int, seed: int) -> TestResult:
     """Independence test: permute y's rows, recompute dcov^2, count exceedances.
+
+    x and y are samples or their materialized CenteredMatrix objects.
 
     p-value uses the add-one formula (1 + #{perm >= observed}) / (1 + B),
     so it is never exactly 0; ties count as exceedances (conservative).
     """
-    xs, ys = as_sample(x), as_sample(y)
-    n = check_same_n(xs, ys)
+    xs, ys, n = _inputs(x, y)
     if n < 2:
         raise DataQualityError("permutation test requires at least 2 observations")
     if replicates < 1:
         raise DataQualityError("permutation test requires at least 1 replicate")
+    # both centered matrices and one replicate's gather are alive at once
+    needed = 3 * 8 * n * n
+    if needed > DEFAULT_MEMORY_BUDGET:
+        raise DataQualityError(
+            f"permutation test on {n} observations needs {needed} bytes, "
+            f"above the memory budget of {DEFAULT_MEMORY_BUDGET} bytes"
+        )
 
     # Centering commutes with applying one permutation to rows and columns,
-    # so permuting y's rows only permutes B's rows/columns: precompute both
-    # centered matrices once and index per replicate.
-    a = double_center(pairwise_distances(xs)).entries
-    b = double_center(pairwise_distances(ys)).entries
-    observed = float((a * b).sum()) / (n * n)
-    observed = max(observed, 0.0)
+    # so permuting y's rows only permutes B's rows/columns: center both
+    # samples once and index per replicate.
+    a, b = double_center(xs), double_center(ys)
+    observed = a.inner(b)
 
-    exceed = 0
-    for rep in range(1, replicates + 1):
-        perm = _replicate_rng(seed, rep).permutation(n)
-        stat = float((a * b[np.ix_(perm, perm)]).sum()) / (n * n)
-        if stat >= observed:
-            exceed += 1
+    exceed = _exceedances(
+        lambda perm: float(np.vdot(a.entries, b.entries[np.ix_(perm, perm)])) / (n * n),
+        observed, n, replicates, seed,
+    )
     p_value = (1 + exceed) / (1 + replicates)
     return TestResult(
         statistic=observed,
@@ -92,12 +101,9 @@ def _pearson_permutation_pvalue(xv: np.ndarray, yv: np.ndarray, replicates: int,
     if sx == 0.0 or sy == 0.0:
         return 1.0
     observed = abs(float(xd @ yd)) / (sx * sy)
-    exceed = 0
-    for rep in range(1, replicates + 1):
-        perm = _replicate_rng(seed, rep).permutation(n)
-        stat = abs(float(xd @ yd[perm])) / (sx * sy)
-        if stat >= observed:
-            exceed += 1
+    exceed = _exceedances(
+        lambda perm: abs(float(xd @ yd[perm])) / (sx * sy), observed, n, replicates, seed
+    )
     return (1 + exceed) / (1 + replicates)
 
 

@@ -194,7 +194,7 @@ def dcov_sq_oracle_sums(x, y) -> float:
     yrows = ys.data.tolist()
 
     def dist(u, v):
-        return math.sqrt(sum((ui - vi) ** 2 for ui, vi in zip(u, v)))
+        return math.hypot(*(ui - vi for ui, vi in zip(u, v)))  # no underflow of tiny gaps
 
     a = [[dist(xrows[k], xrows[l]) for l in range(n)] for k in range(n)]
     b = [[dist(yrows[k], yrows[l]) for l in range(n)] for k in range(n)]

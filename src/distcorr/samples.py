@@ -11,6 +11,8 @@ import numpy as np
 
 from .errors import DataQualityError, DimensionMismatchError
 
+_KERNEL_ROWS = 64  # rows per temporary block of the multi-dimensional distance kernel
+
 
 @dataclass(frozen=True)
 class Sample:
@@ -56,3 +58,25 @@ def check_same_n(x: Sample, y: Sample) -> int:
             f"samples must have equal observation counts, got {x.n} and {y.n}"
         )
     return x.n
+
+
+def _euclidean(XA: np.ndarray, XB: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of XA and of XB, in one output buffer.
+
+    Scalar rows take |a - b|.  Otherwise squared differences are added one
+    dimension at a time, as scipy's ``cdist`` does, with row-block temporaries.
+    """
+    if XA.shape[1] == 1:
+        out = np.subtract.outer(XA[:, 0], XB[:, 0])
+        return np.abs(out, out=out)
+    # exact scaling by an even power of two keeps the squares from under- or overflowing
+    e = int(np.frexp(max(np.abs(XA).max(), np.abs(XB).max()))[1]) & ~1
+    XA, XB = np.ldexp(XA, -e), np.ldexp(XB, -e)
+    out = np.subtract.outer(XA[:, 0], XB[:, 0])
+    np.multiply(out, out, out=out)
+    for i0 in range(0, len(XA), _KERNEL_ROWS):
+        rows = slice(i0, i0 + _KERNEL_ROWS)
+        for k in range(1, XA.shape[1]):
+            diff = np.subtract.outer(XA[rows, k], XB[:, k])
+            out[rows] += np.multiply(diff, diff, out=diff)
+    return np.ldexp(np.sqrt(out, out=out), e, out=out)

@@ -11,12 +11,12 @@ import csv
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import dcor, pearson
-from .errors import DataFormatError, DegenerateVarianceError
+from .core import DEFAULT_MEMORY_BUDGET, dcor, double_center
+from .errors import DataFormatError
 from .inference import permutation_test
 
 MISSING_POLICIES = ("reject", "drop-row", "pairwise-drop")
@@ -163,6 +163,15 @@ def _pair_seed(base_seed: int, group_index: int, pair_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def _centered_column(cache: dict | None, name: str, col: np.ndarray, ok: np.ndarray):
+    """The column's cached CenteredMatrix if ``ok`` are its own complete rows, else col[ok]."""
+    if cache is None or not np.array_equal(ok, np.isfinite(col)):
+        return col[ok]
+    if name not in cache:
+        cache[name] = double_center(col[ok])
+    return cache[name]
+
+
 def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> CorrelationTable:
     """One record per unordered column pair per group: K columns -> K(K-1)/2."""
     if config is None:
@@ -184,13 +193,16 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
     warnings = []
     usable_groups = 0
     for gi, (label, mask) in enumerate(masks):
-        if int(mask.sum()) < config.min_group_rows:
+        rows = int(mask.sum())
+        if rows < config.min_group_rows:
             warnings.append(
-                f"group {label!r} skipped: {int(mask.sum())} rows "
-                f"< minimum {config.min_group_rows}"
+                f"group {label!r} skipped: {rows} rows < minimum {config.min_group_rows}"
             )
             continue
         usable_groups += 1
+        # One centered matrix per column, kept while the group's columns fit the
+        # budget next to one pair's two fresh matrices and a permutation gather.
+        cache = {} if (len(names) + 3) * 8 * rows * rows <= DEFAULT_MEMORY_BUDGET else None
         pair_index = 0
         for i in range(len(names)):
             for j in range(i + 1, len(names)):
@@ -198,7 +210,6 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
                 col_a = dataset.columns[var_a][mask]
                 col_b = dataset.columns[var_b][mask]
                 ok = np.isfinite(col_a) & np.isfinite(col_b)
-                col_a, col_b = col_a[ok], col_b[ok]
                 n = int(ok.sum())
                 if n < config.min_group_rows:
                     warnings.append(
@@ -207,26 +218,21 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
                     )
                     pair_index += 1
                     continue
-                try:
-                    r = pearson(col_a, col_b)
-                    flags: tuple[str, ...] = ()
-                except DegenerateVarianceError:
-                    r = 0.0
-                    flags = ("degenerate-variance",)
-                stats = dcor(col_a, col_b)
+                a = _centered_column(cache, var_a, col_a, ok)
+                b = _centered_column(cache, var_b, col_b, ok)
+                stats = dcor(a, b)
+                flags = () if stats.pearson is not None else ("degenerate-variance",)
                 p_value = None
                 if config.p_values:
-                    res = permutation_test(
-                        col_a, col_b, config.replicates, _pair_seed(config.seed, gi, pair_index)
-                    )
-                    p_value = res.p_value
+                    seed = _pair_seed(config.seed, gi, pair_index)
+                    p_value = permutation_test(a, b, config.replicates, seed).p_value
                 records.append(
                     PairRecord(
                         group=str(label),
                         var_a=var_a,
                         var_b=var_b,
                         n=n,
-                        pearson=r,
+                        pearson=0.0 if stats.pearson is None else stats.pearson,
                         dcor=stats.dcor,
                         p_value=p_value,
                         flags=flags,
@@ -320,23 +326,7 @@ def emit_plot_data(table: CorrelationTable, format: str, path) -> None:
                         ]
                     )
             else:
-                json.dump(
-                    [
-                        {
-                            "group": r.group,
-                            "var_a": r.var_a,
-                            "var_b": r.var_b,
-                            "n": r.n,
-                            "pearson": r.pearson,
-                            "dcor": r.dcor,
-                            "p_value": r.p_value,
-                            "flags": list(r.flags),
-                        }
-                        for r in records
-                    ],
-                    fh,
-                    indent=2,
-                )
+                json.dump([asdict(r) for r in records], fh, indent=2)
                 fh.write("\n")
         os.replace(tmp, path)
     except BaseException:

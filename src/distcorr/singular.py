@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConvergenceError
 from .oracles import QuadratureSpec, _gl_nodes_weights
@@ -52,7 +51,7 @@ def c_p(p: int) -> float:
     """Weight-normalizing constant pi^{(p+1)/2} / Gamma((p+1)/2)."""
     if p < 1:
         raise ValueError(f"dimension p must be >= 1, got {p}")
-    return math.exp(0.5 * (p + 1) * math.log(math.pi) - gammaln(0.5 * (p + 1)))
+    return math.exp(0.5 * (p + 1) * math.log(math.pi) - math.lgamma(0.5 * (p + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -68,10 +67,10 @@ def singular_constant(p: int, alpha: float) -> float:
     log_c = (
         math.log(2.0)
         + 0.5 * p * math.log(math.pi)
-        + gammaln(1.0 - 0.5 * alpha)
+        + math.lgamma(1.0 - 0.5 * alpha)
         - math.log(alpha)
         - alpha * math.log(2.0)
-        - gammaln(0.5 * (p + alpha))
+        - math.lgamma(0.5 * (p + alpha))
     )
     return math.exp(log_c)
 

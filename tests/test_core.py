@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import distcorr
 from distcorr.core import (
     dcor,
     dcov_sq,
@@ -18,6 +24,8 @@ from distcorr.errors import (
     DegenerateVarianceError,
     DimensionMismatchError,
 )
+from distcorr.oracles import dcov_sq_oracle_sums
+from distcorr.samples import _euclidean
 
 
 def finite_samples(max_n=20, max_dim=3):
@@ -32,19 +40,33 @@ def finite_samples(max_n=20, max_dim=3):
     )
 
 
+@st.composite
+def oracle_pairs(draw, max_n=10):
+    """(x, y) with n in 1..max_n: real or heavily tied integer columns, maybe offset by 1e8."""
+    n = draw(st.integers(1, max_n))
+
+    def sample():
+        tied = draw(st.booleans())
+        elements = st.integers(0, 2).map(float) if tied else st.floats(-100, 100)
+        x = draw(arrays(np.float64, (n, draw(st.integers(1, 3))), elements=elements))
+        return x + draw(st.sampled_from([0.0, 1e8, -3e8]))
+
+    return sample(), sample()
+
+
 class TestPairwiseDistances:
     def test_single_point(self):
         d = pairwise_distances([[0.0]])
-        assert d.entries.tolist() == [[0.0]]
+        assert d.tolist() == [[0.0]]
 
     def test_scalar_absolute_difference(self):
         d = pairwise_distances([[0.0], [3.0]])
-        assert d.entries.tolist() == [[0.0, 3.0], [3.0, 0.0]]
+        assert d.tolist() == [[0.0, 3.0], [3.0, 0.0]]
 
     def test_3_4_5_triangle(self):
         d = pairwise_distances([[0.0, 0.0], [3.0, 4.0]])
-        assert d.entries[0, 1] == 5.0
-        assert d.entries[1, 0] == 5.0
+        assert d[0, 1] == 5.0
+        assert d[1, 0] == 5.0
 
     def test_rejects_nan_naming_row(self):
         with pytest.raises(DataQualityError, match="row 1"):
@@ -53,14 +75,32 @@ class TestPairwiseDistances:
     @given(finite_samples())
     @settings(max_examples=50, deadline=None)
     def test_symmetric_zero_diagonal(self, x):
-        d = pairwise_distances(x).entries
+        d = pairwise_distances(x)
         assert np.array_equal(d, d.T)
         assert np.all(np.diag(d) == 0.0)
+
+    def test_kernel_bitwise_equals_scipy_cdist(self):
+        # scipy is a test-time reference only; the package does not depend on it
+        distance = pytest.importorskip("scipy.spatial.distance")
+        rng = np.random.default_rng(12)
+        for d in range(1, 6):
+            for n_a, n_b in ((1, 1), (5, 9), (150, 70)):
+                xa = rng.normal(size=(n_a, d)) * rng.uniform(0.01, 100)
+                xb = rng.normal(size=(n_b, d)) * rng.uniform(0.01, 100)
+                assert np.array_equal(_euclidean(xa, xb), distance.cdist(xa, xb))
+                assert np.array_equal(_euclidean(xa, xa), distance.cdist(xa, xa))
+
+    def test_cli_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(distcorr.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, distcorr.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     @given(finite_samples(max_n=8))
     @settings(max_examples=30, deadline=None)
     def test_triangle_inequality(self, x):
-        d = pairwise_distances(x).entries
+        d = pairwise_distances(x)
         n = d.shape[0]
         for i in range(n):
             for j in range(n):
@@ -70,11 +110,11 @@ class TestPairwiseDistances:
 
 class TestDoubleCenter:
     def test_zero_matrix(self):
-        c = double_center(pairwise_distances([[0.0], [0.0]]))
+        c = double_center([[0.0], [0.0]])
         assert np.all(c.entries == 0.0)
 
     def test_hand_two_point(self):
-        c = double_center(pairwise_distances([[0.0], [3.0]]))
+        c = double_center([[0.0], [3.0]])
         assert np.allclose(c.entries, [[-1.5, 1.5], [1.5, -1.5]], atol=1e-15)
         assert c.row_mean.tolist() == [1.5, 1.5]
         assert c.grand_mean == 1.5
@@ -83,8 +123,8 @@ class TestDoubleCenter:
     @settings(max_examples=50, deadline=None)
     def test_row_and_column_sums_vanish(self, x):
         d = pairwise_distances(x)
-        c = double_center(d)
-        tol = 1e-9 * d.n * max(d.entries.max(), 1.0)
+        c = double_center(x)
+        tol = 1e-9 * len(d) * max(d.max(), 1.0)
         assert np.all(np.abs(c.entries.sum(axis=0)) <= tol)
         assert np.all(np.abs(c.entries.sum(axis=1)) <= tol)
 
@@ -119,6 +159,36 @@ class TestDcovSq:
             v_mat = dcov_sq_materialized(x, y)
             v_str = dcov_sq_streaming(x, y, block_rows=37)
             assert abs(v_mat - v_str) <= 1e-10 * max(abs(v_mat), 1e-30)
+
+    @given(oracle_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_paths_agree_with_oracle_sums(self, pair):
+        x, y = pair
+        a, b = double_center(x), double_center(y)
+        scale = float(np.abs(a.entries * b.entries).mean())
+        oracle = dcov_sq_oracle_sums(x, y)
+        # below the smallest normal float64 there is no relative precision left
+        tol = 1e-12 * scale + np.finfo(np.float64).tiny
+        for value in (dcov_sq_materialized(x, y), dcov_sq_streaming(x, y, block_rows=3)):
+            assert abs(value - oracle) <= tol
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_memory_budget_bounds_traced_peak(self, dim):
+        # either side of the dispatch boundary, the peak stays within the
+        # budget plus O(n): the kernel's row blocks and a few length-n arrays
+        n = 2000
+        rng = np.random.default_rng(13)
+        x, y = rng.normal(size=(n, dim)), rng.normal(size=(n, 1))
+        boundary = 2 * 8 * n * n
+        for budget in (boundary, boundary - 1, boundary // 2):
+            tracemalloc.start()
+            try:
+                dcor(x, y, memory_budget=budget)
+                dcov_sq(x, y, memory_budget=budget)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= budget + 80 * 8 * n
 
     def test_auto_dispatch_small_budget_uses_streaming(self):
         rng = np.random.default_rng(1)
@@ -208,6 +278,22 @@ class TestPearson:
 
     def test_hand_value(self):
         assert pearson([1, 2, 3], [1, 3, 2]) == pytest.approx(0.5, abs=1e-12)
+
+    def test_tiny_or_huge_spread_does_not_underflow(self):
+        # the squared deviations of [2.3e-300, 0] underflow to 0 unless scaled first
+        for x in ([2.3e-300, 0.0], [1e200, -1e200]):
+            assert pearson(x, [0.0, 1.0]) == pytest.approx(-1.0, abs=1e-15)
+            stats = dcor(x, [0.0, 1.0])
+            assert stats.pearson == pytest.approx(-1.0, abs=1e-15)
+            assert 0.0 <= stats.dcor <= 1.0
+
+    def test_scaling_leaves_ordinary_results_unchanged(self):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            x, y = rng.normal(size=12) * 10.0 ** rng.integers(-5, 6), rng.normal(size=12)
+            xd, yd = x - x.mean(), y - y.mean()
+            plain = float(np.sum(xd * yd)) / (np.sqrt(np.sum(xd * xd)) * np.sqrt(np.sum(yd * yd)))
+            assert pearson(x, y) == float(np.clip(plain, -1.0, 1.0))
 
     def test_constant_raises(self):
         with pytest.raises(DegenerateVarianceError):

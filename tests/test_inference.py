@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from distcorr.core import dcov_sq
+from distcorr import inference
+from distcorr.core import dcov_sq, double_center
 from distcorr.errors import DataQualityError
 from distcorr.inference import permutation_test, power_simulation
 
@@ -31,6 +34,30 @@ class TestPermutationTest:
         res = permutation_test(x, y, replicates=99, seed=11)
         assert res.p_value == (1 + res.exceed_count) / (1 + res.replicates)
         assert 1 / (res.replicates + 1) <= res.p_value <= 1.0
+
+    def test_centered_inputs_give_the_same_result(self):
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(size=(20, 2)), rng.normal(size=(20, 1))
+        res = permutation_test(x, y, replicates=19, seed=5)
+        assert permutation_test(double_center(x), double_center(y), replicates=19, seed=5) == res
+
+    def test_over_budget_raises_naming_the_budget(self, monkeypatch):
+        n = 300
+        rng = np.random.default_rng(6)
+        x, y = rng.normal(size=n), rng.normal(size=n)
+        # two centered matrices plus one replicate's gather
+        needed = 3 * 8 * n * n
+        monkeypatch.setattr(inference, "DEFAULT_MEMORY_BUDGET", needed - 1)
+        with pytest.raises(DataQualityError, match=f"memory budget of {needed - 1} bytes"):
+            permutation_test(x, y, replicates=5, seed=1)
+        monkeypatch.setattr(inference, "DEFAULT_MEMORY_BUDGET", needed)
+        tracemalloc.start()
+        try:
+            permutation_test(x, y, replicates=5, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= needed + 80 * 8 * n
 
     def test_statistic_matches_dcov_sq(self):
         rng = np.random.default_rng(3)

@@ -1,11 +1,15 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from distcorr import core, screening
+from distcorr.core import dcor
 from distcorr.errors import DataFormatError
 from distcorr.screening import (
     CorrelationTable,
+    Dataset,
     OutlierRule,
     PairRecord,
     ScreenConfig,
@@ -92,6 +96,17 @@ def synthetic_dataset(tmp_path, n=200, seed=314):
     return load_dataset(write(tmp_path, "\n".join(lines) + "\n"))
 
 
+def gapped_dataset():
+    """Two groups of 40 rows; in group g0, c and d each miss 3 cells, in different rows."""
+    rng = np.random.default_rng(21)
+    cols = {name: rng.normal(size=80) for name in "abcd"}
+    cols["b"] = np.round(cols["a"] ** 2 * 3)  # tied integer values
+    cols["c"][[1, 5, 9]] = np.nan
+    cols["d"][[2, 6, 10]] = np.nan
+    groups = np.array(["g0"] * 40 + ["g1"] * 40, dtype=object)
+    return Dataset(columns=cols, row_count=80, group_labels=groups)
+
+
 class TestPairwiseScreen:
     def test_pair_count_33_columns(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -152,6 +167,42 @@ class TestPairwiseScreen:
         t2 = pairwise_screen(ds, cfg)
         assert t1.records == t2.records
         assert all(r.p_value is not None for r in t1.records)
+
+    def test_records_equal_dcor_bit_for_bit(self):
+        ds = gapped_dataset()
+        table = pairwise_screen(ds, ScreenConfig(p_values=True, replicates=9))
+        for r in table.records:
+            mask = ds.group_labels == r.group
+            a, b = ds.columns[r.var_a][mask], ds.columns[r.var_b][mask]
+            ok = np.isfinite(a) & np.isfinite(b)
+            stats = dcor(a[ok], b[ok])
+            assert (r.n, r.dcor, r.pearson) == (int(ok.sum()), stats.dcor, stats.pearson)
+        # cache hits (full columns), one cached side (c with a full column), and
+        # a pairwise-drop pair whose rows differ from both cached columns (c, d)
+        assert {(r.var_a, r.var_b, r.n) for r in table.records if r.group == "g0"} >= {
+            ("a", "b", 40), ("a", "c", 37), ("c", "d", 34)
+        }
+
+    def test_one_distance_matrix_per_column_and_group(self, monkeypatch):
+        calls = []
+        kernel = core.cdist
+        monkeypatch.setattr(core, "cdist", lambda XA, XB: calls.append(len(XA)) or kernel(XA, XB))
+        ds = gapped_dataset()
+        full = {"a": ds.columns["a"], "b": ds.columns["b"], "e": ds.columns["a"] + 1.0}
+        pairwise_screen(replace(ds, columns=full))
+        assert calls == [40] * 6  # 3 columns in each of 2 groups
+        calls.clear()
+        pairwise_screen(ds)
+        # g0: a, b, c, d cached; (a, c), (b, c) rebuild a or b at c's rows; (a, d), (b, d)
+        # likewise; (c, d) rebuilds both.  g1 has no gaps: one matrix per column.
+        assert len(calls) == 4 + 4 + 2 + 4
+
+    def test_over_budget_builds_per_pair_with_identical_records(self, monkeypatch):
+        ds = gapped_dataset()
+        cfg = ScreenConfig(p_values=True, replicates=9, seed=4)
+        cached = pairwise_screen(ds, cfg)
+        monkeypatch.setattr(screening, "DEFAULT_MEMORY_BUDGET", 0)
+        assert pairwise_screen(ds, cfg) == cached
 
     def test_statistics_in_range(self, tmp_path):
         table = pairwise_screen(synthetic_dataset(tmp_path, n=50))
