@@ -1,11 +1,12 @@
 """Empirical distance covariance/correlation and Pearson correlation.
 
 Each sample gets one ``CenteredMatrix``, its double-centered distance
-matrix, and every statistic is an inner product of two of them.  The
-matrix is either materialized (N x N, centered in place) or streaming
-(row means only; blocks of rows are rebuilt on demand in O(block * N)
-memory).  ``dcov_sq`` and ``dcor`` choose by a memory budget that bounds
-every N x N array the materialized path keeps alive at once.
+matrix, and every statistic is an inner product of two of them, summed
+over blocks of rows.  ``rows_that_fit`` is the one byte rule: a sample
+whose N x N float64 matrix fits its budget is materialized (centered in
+place), otherwise it streams, rebuilding blocks of as many rows as fit
+(at most ``STREAM_BLOCK_ROWS``).  ``dcov_sq`` and ``dcor`` give each
+sample half the budget.
 """
 from __future__ import annotations
 
@@ -18,11 +19,11 @@ from .errors import DataQualityError, DegenerateVarianceError
 from .samples import Sample, as_sample, check_same_n
 from .samples import _euclidean as cdist  # every distance block goes through here
 
-# Auto-dispatch threshold: materialize N x N matrices only if they fit.
+# Bytes that dcov_sq and dcor may spend on N x N matrices or their row blocks.
 DEFAULT_MEMORY_BUDGET = 1 << 30  # 1 GiB
 
-# Rows per block in the streaming path.  Fixed by configuration, not by
-# scheduling, so results are deterministic.
+# Most rows per block in the streaming path.  Set by the budget and n alone,
+# not by scheduling, so results are deterministic.
 STREAM_BLOCK_ROWS = 512
 
 
@@ -55,22 +56,31 @@ class CenteredMatrix:
         d = cdist(self.sample.data[i0:i1], self.sample.data)
         return _center(d, self.row_mean[i0:i1], self.row_mean, self.grand_mean)
 
+    def _blockwise(self, other: CenteredMatrix, term) -> float:
+        """Sum of term(rows of A, same rows of B) over row blocks."""
+        total, step = 0.0, min(self.block_rows, other.block_rows)
+        for i0 in range(0, self.n, step):
+            a = self._rows(i0, i0 + step)
+            total += term(a, a if other is self else other._rows(i0, i0 + step))
+            del a  # so that at most one block per side is alive at a time
+        return total
+
     def inner(self, other: CenteredMatrix) -> float:
         """Squared distance covariance sum(A * B) / n^2, checked against sum(|A * B|) / n^2."""
-        n = check_same_n(self, other)
-        if self.entries is not None and other.entries is not None:
-            total = float(np.vdot(self.entries, other.entries))
-            if total >= 0.0:
-                return total / (n * n)
-            # only a negative sum needs the scale; row by row it takes O(n) memory
-            scale = sum(float(np.abs(self.entries[k] * other.entries[k]).sum()) for k in range(n))
-            return _clamp_nonnegative(total / (n * n), scale / (n * n))
-        total = scale = 0.0
-        for i0 in range(0, n, self.block_rows):
-            prod = self._rows(i0, i0 + self.block_rows) * other._rows(i0, i0 + self.block_rows)
-            total += float(prod.sum())
-            scale += float(np.abs(prod, out=prod).sum())
-        return _clamp_nonnegative(total / (n * n), scale / (n * n))
+        nn = check_same_n(self, other) ** 2
+        total = self._blockwise(other, lambda a, b: float(np.vdot(a, b))) / nn
+        if total >= 0.0:
+            return total
+        # only a negative sum needs the scale; row by row it adds O(n) memory
+        scale = self._blockwise(
+            other, lambda a, b: sum(float(np.abs(ra * rb).sum()) for ra, rb in zip(a, b))
+        ) / nn
+        if total < -1e-12 * max(scale, 1.0):
+            raise DataQualityError(
+                f"distance covariance came out significantly negative ({total}); "
+                "this indicates corrupted input or an internal error"
+            )
+        return 0.0
 
 
 @dataclass(frozen=True)
@@ -99,47 +109,41 @@ def _center(d: np.ndarray, row_block: np.ndarray, row: np.ndarray, grand: float)
     return d
 
 
-def double_center(x, materialize: bool = True, block_rows: int = STREAM_BLOCK_ROWS) -> CenteredMatrix:
-    """The CenteredMatrix of a sample, in the materialized or the streaming form.
+def rows_that_fit(n: int, memory_budget: int) -> int:
+    """How many rows of an n x n float64 matrix fit in ``memory_budget`` bytes."""
+    return memory_budget // (8 * max(n, 1))
 
-    An existing CenteredMatrix is returned as it is, unless it is streaming
-    and the materialized form is asked for.
+
+def double_center(x, memory_budget: int | None = None) -> CenteredMatrix:
+    """The CenteredMatrix of a sample, materialized if it fits ``memory_budget`` bytes.
+
+    With no budget it is always materialized.  Otherwise a matrix that does
+    not fit streams in blocks of as many rows as fit (at least one, at most
+    ``STREAM_BLOCK_ROWS``).  An existing CenteredMatrix is returned unchanged.
     """
     if isinstance(x, CenteredMatrix):
-        if x.entries is not None or not materialize:
-            return x
-        x = x.sample
+        return x
     s = as_sample(x)
-    if materialize:
-        d = pairwise_distances(s)
-        row = d.mean(axis=1)
-        grand = float(row.mean())
-        return CenteredMatrix(s, row, grand, entries=_center(d, row, row, grand))
+    rows = s.n if memory_budget is None else rows_that_fit(s.n, memory_budget)
+    if rows < s.n:
+        return _streaming(s, max(1, min(rows, STREAM_BLOCK_ROWS)))
+    d = pairwise_distances(s)
+    row = d.mean(axis=1)
+    grand = float(row.mean())
+    return CenteredMatrix(s, row, grand, entries=_center(d, row, row, grand), block_rows=s.n)
+
+
+def _streaming(s: Sample, block_rows: int) -> CenteredMatrix:
     row = np.empty(s.n)
     for i0 in range(0, s.n, block_rows):
         row[i0:i0 + block_rows] = cdist(s.data[i0:i0 + block_rows], s.data).mean(axis=1)
     return CenteredMatrix(s, row, float(row.mean()), block_rows=block_rows)
 
 
-def _clamp_nonnegative(val: float, scale: float) -> float:
-    if val < -1e-12 * max(scale, 1.0):
-        raise DataQualityError(
-            f"distance covariance came out significantly negative ({val}); "
-            "this indicates corrupted input or an internal error"
-        )
-    return max(val, 0.0)
-
-
 def _inputs(x, y):
     """Validated samples, or CenteredMatrix objects as they are, and their common n."""
     x, y = (v if isinstance(v, CenteredMatrix) else as_sample(v) for v in (x, y))
     return x, y, check_same_n(x, y)
-
-
-def _materializes(n: int, memory_budget: int) -> bool:
-    # The materialized path keeps two n x n float64 matrices alive and nothing else
-    # that size: each is built and centered in place; inner products make none.
-    return 2 * 8 * n * n <= memory_budget
 
 
 def dcov_sq_materialized(x, y) -> float:
@@ -153,19 +157,17 @@ def dcov_sq_streaming(x, y, block_rows: int = STREAM_BLOCK_ROWS) -> float:
     Pass 1 finds the row means of both distance matrices; pass 2 rebuilds
     centered rows blockwise and accumulates sum(A_kl * B_kl).
     """
-    return double_center(x, False, block_rows).inner(double_center(y, False, block_rows))
+    return _streaming(as_sample(x), block_rows).inner(_streaming(as_sample(y), block_rows))
 
 
 def dcov_sq(x, y, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> float:
     """Squared empirical distance covariance, Eq.-(4)-style.
 
-    Materializes the N x N matrices when both fit in ``memory_budget``
-    bytes, otherwise falls back to the streaming path.
+    Materializes each N x N matrix when it fits in half of ``memory_budget``
+    bytes, otherwise streams it in blocks that fit there.
     """
-    xs, ys, n = _inputs(x, y)
-    if _materializes(n, memory_budget):
-        return dcov_sq_materialized(xs, ys)
-    return dcov_sq_streaming(xs, ys)
+    xs, ys, _ = _inputs(x, y)
+    return double_center(xs, memory_budget // 2).inner(double_center(ys, memory_budget // 2))
 
 
 def dcor(x, y, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PairStats:
@@ -176,8 +178,7 @@ def dcor(x, y, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PairStats:
     (and left as None there too if either side is constant).
     """
     xs, ys, n = _inputs(x, y)
-    keep = _materializes(n, memory_budget)
-    a, b = double_center(xs, keep), double_center(ys, keep)
+    a, b = double_center(xs, memory_budget // 2), double_center(ys, memory_budget // 2)
     vxy = a.inner(b)
     dvar_x, dvar_y = a.dvar, b.dvar
     if dvar_x <= 0.0 or dvar_y <= 0.0:

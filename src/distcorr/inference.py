@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_MEMORY_BUDGET, _inputs, double_center
+from .core import DEFAULT_MEMORY_BUDGET, _inputs, double_center, rows_that_fit
 from .errors import DataQualityError
 
 
@@ -64,10 +64,9 @@ def permutation_test(x, y, replicates: int, seed: int) -> TestResult:
     if replicates < 1:
         raise DataQualityError("permutation test requires at least 1 replicate")
     # both centered matrices and one replicate's gather are alive at once
-    needed = 3 * 8 * n * n
-    if needed > DEFAULT_MEMORY_BUDGET:
+    if rows_that_fit(n, DEFAULT_MEMORY_BUDGET) < 3 * n:
         raise DataQualityError(
-            f"permutation test on {n} observations needs {needed} bytes, "
+            f"permutation test on {n} observations needs three {n} x {n} float64 matrices, "
             f"above the memory budget of {DEFAULT_MEMORY_BUDGET} bytes"
         )
 

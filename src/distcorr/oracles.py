@@ -35,7 +35,6 @@ class QuadratureSpec:
 
     truncation_radius: float = 200.0
     panel_count: int = 512
-    rule: str = "graded-gauss-legendre"
     tolerance: float = 1e-2
 
     def __post_init__(self):

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import DEFAULT_MEMORY_BUDGET, dcor, double_center
+from .core import DEFAULT_MEMORY_BUDGET, dcor, double_center, rows_that_fit
 from .errors import DataFormatError
 from .inference import permutation_test
 
@@ -202,7 +202,7 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
         usable_groups += 1
         # One centered matrix per column, kept while the group's columns fit the
         # budget next to one pair's two fresh matrices and a permutation gather.
-        cache = {} if (len(names) + 3) * 8 * rows * rows <= DEFAULT_MEMORY_BUDGET else None
+        cache = {} if rows_that_fit(rows, DEFAULT_MEMORY_BUDGET) >= (len(names) + 3) * rows else None
         pair_index = 0
         for i in range(len(names)):
             for j in range(i + 1, len(names)):

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 import distcorr
 from distcorr.core import (
+    CenteredMatrix,
     dcor,
     dcov_sq,
     dcov_sq_materialized,
@@ -174,17 +175,18 @@ class TestDcovSq:
 
     @pytest.mark.parametrize("dim", [1, 3])
     def test_memory_budget_bounds_traced_peak(self, dim):
-        # either side of the dispatch boundary, the peak stays within the
-        # budget plus O(n): the kernel's row blocks and a few length-n arrays
-        n = 2000
+        # either side of the dispatch boundary, and with streaming blocks sized
+        # from budgets far below it, the peak stays within the budget plus O(n):
+        # the kernel's row blocks and a few length-n arrays
         rng = np.random.default_rng(13)
-        x, y = rng.normal(size=(n, dim)), rng.normal(size=(n, 1))
-        boundary = 2 * 8 * n * n
-        for budget in (boundary, boundary - 1, boundary // 2):
+        x, y = rng.normal(size=(2000, dim)), rng.normal(size=(2000, 1))
+        boundary = 2 * 8 * 2000 * 2000
+        budgets = (boundary, boundary - 1, boundary // 2, 10**7, 10**6)
+        for n, budget in [(2000, b) for b in budgets] + [(64, 1024)]:
             tracemalloc.start()
             try:
-                dcor(x, y, memory_budget=budget)
-                dcov_sq(x, y, memory_budget=budget)
+                dcor(x[:n], y[:n], memory_budget=budget)
+                dcov_sq(x[:n], y[:n], memory_budget=budget)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -213,6 +215,21 @@ class TestDcovSq:
             v0 = dcov_sq(x, y)
             v1 = dcov_sq(a * x, b * y)
             assert abs(v1 - abs(a) * abs(b) * v0) <= 1e-10 * max(v0, 1e-30)
+
+
+class TestInner:
+    @pytest.mark.parametrize("streaming_self", [False, True])
+    def test_negative_sum_raises_or_clamps(self, streaming_self):
+        x = np.random.default_rng(15).normal(size=(40, 2))
+        a = double_center(x)
+        # a budget of three rows per block
+        left = double_center(x, memory_budget=3 * 8 * 40) if streaming_self else a
+        assert (left.entries is None) == streaming_self
+        flipped = CenteredMatrix(a.sample, a.row_mean, a.grand_mean, entries=-a.entries)
+        with pytest.raises(DataQualityError, match="significantly negative"):
+            left.inner(flipped)
+        tiny = CenteredMatrix(a.sample, a.row_mean, a.grand_mean, entries=-1e-20 * a.entries)
+        assert left.inner(tiny) == 0.0
 
 
 def random_orthogonal(dim, rng):
