@@ -71,6 +71,17 @@ def _quad_spec(args) -> QuadratureSpec:
     )
 
 
+def _budget_bytes(text: str) -> int:
+    """A ``--memory-budget`` value: a positive whole number of bytes."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive whole number of bytes, got {text!r}")
+    return value
+
+
 def _add_quad_flags(parser):
     parser.add_argument("--quad-radius", type=float, default=200.0)
     parser.add_argument("--quad-panels", type=int, default=512)
@@ -201,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--delimiter", default=",")
-    p.add_argument("--memory-budget", type=int, default=DEFAULT_MEMORY_BUDGET)
+    p.add_argument("--memory-budget", type=_budget_bytes, default=DEFAULT_MEMORY_BUDGET)
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("test", help="permutation test of independence")

@@ -4,12 +4,15 @@ Each sample gets one ``CenteredMatrix``, its double-centered distance
 matrix, and every statistic is an inner product of two of them, summed
 over blocks of rows.  ``rows_that_fit`` is the one byte rule: a sample
 whose N x N float64 matrix fits its budget is materialized (centered in
-place), otherwise it streams, rebuilding blocks of as many rows as fit
+place).  Otherwise a scalar sample takes the sorted form, whose inner
+product with another sorted form costs O(N log N) (``cross_term``), and
+a multivariate one streams, rebuilding blocks of as many rows as fit
 (at most ``STREAM_BLOCK_ROWS``).  ``dcov_sq`` and ``dcor`` give each
 sample half the budget.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,7 +35,10 @@ class CenteredMatrix:
     """A_kl = a_kl - m_k - m_l + m for one sample's distance matrix a.
 
     m_k are a's row means (its column means too, as a is symmetric) and m
-    is their mean.  ``entries`` is A when materialized, None when streaming.
+    is their mean.  ``entries`` is A when materialized, None otherwise.
+    ``order`` sorts a scalar sample in the sorted form, and is None in the
+    other two.  Rows that are not materialized are rebuilt from the sample
+    and the row means.
     """
 
     sample: Sample
@@ -40,6 +46,7 @@ class CenteredMatrix:
     grand_mean: float
     entries: np.ndarray | None = None
     block_rows: int = STREAM_BLOCK_ROWS
+    order: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -65,16 +72,43 @@ class CenteredMatrix:
             del a  # so that at most one block per side is alive at a time
         return total
 
+    def _sorted_terms(self, other: CenteredMatrix) -> tuple[float, float]:
+        """sum(A * B) / n^2 of two sorted forms, and the sum of its three terms' magnitudes.
+
+        sum(A * B) = C - 2 sum_k a_k. b_k. / n + a.. b.. / n^2 with C =
+        sum |x_k - x_l| |y_k - y_l|.  The terms are summed in the units of
+        the scaled deviations and scaled back at the end.
+        """
+        x, ex = _deviations(self.sample.data[:, 0])
+        y, ey = _deviations(other.sample.data[:, 0])
+        n = self.n
+        terms = (
+            cross_term(x, y, self.order, other.order) / (n * n),
+            -2.0 * float(np.dot(np.ldexp(self.row_mean, -ex), np.ldexp(other.row_mean, -ey))) / n,
+            math.ldexp(self.grand_mean, -ex) * math.ldexp(other.grand_mean, -ey),
+        )
+        return math.ldexp(sum(terms), ex + ey), math.ldexp(sum(abs(t) for t in terms), ex + ey)
+
     def inner(self, other: CenteredMatrix) -> float:
-        """Squared distance covariance sum(A * B) / n^2, checked against sum(|A * B|) / n^2."""
+        """Squared distance covariance sum(A * B) / n^2, checked against a scale.
+
+        Two sorted forms take ``cross_term``, with the sum of the three
+        terms' magnitudes as the scale.  Any other pair sums blocks of rows,
+        with sum(|A * B|) / n^2 as the scale.
+        """
         nn = check_same_n(self, other) ** 2
-        total = self._blockwise(other, lambda a, b: float(np.vdot(a, b))) / nn
-        if total >= 0.0:
-            return total
-        # only a negative sum needs the scale; row by row it adds O(n) memory
-        scale = self._blockwise(
-            other, lambda a, b: sum(float(np.abs(ra * rb).sum()) for ra, rb in zip(a, b))
-        ) / nn
+        if self.order is not None and other.order is not None:
+            total, scale = self._sorted_terms(other)
+            if total >= 0.0:
+                return total
+        else:
+            total = self._blockwise(other, lambda a, b: float(np.vdot(a, b))) / nn
+            if total >= 0.0:
+                return total
+            # only a negative sum needs the scale; row by row it adds O(n) memory
+            scale = self._blockwise(
+                other, lambda a, b: sum(float(np.abs(ra * rb).sum()) for ra, rb in zip(a, b))
+            ) / nn
         if total < -1e-12 * max(scale, 1.0):
             raise DataQualityError(
                 f"distance covariance came out significantly negative ({total}); "
@@ -118,15 +152,18 @@ def double_center(x, memory_budget: int | None = None) -> CenteredMatrix:
     """The CenteredMatrix of a sample, materialized if it fits ``memory_budget`` bytes.
 
     With no budget it is always materialized.  Otherwise a matrix that does
-    not fit streams in blocks of as many rows as fit (at least one, at most
-    ``STREAM_BLOCK_ROWS``).  An existing CenteredMatrix is returned unchanged.
+    not fit takes the sorted form if the sample is scalar and streams if
+    not.  Rows rebuilt from either come in blocks of as many rows as fit
+    (at least one, at most ``STREAM_BLOCK_ROWS``).  An existing
+    CenteredMatrix is returned unchanged.
     """
     if isinstance(x, CenteredMatrix):
         return x
     s = as_sample(x)
     rows = s.n if memory_budget is None else rows_that_fit(s.n, memory_budget)
     if rows < s.n:
-        return _streaming(s, max(1, min(rows, STREAM_BLOCK_ROWS)))
+        block_rows = max(1, min(rows, STREAM_BLOCK_ROWS))
+        return _sorted(s, block_rows) if s.is_scalar else _streaming(s, block_rows)
     d = pairwise_distances(s)
     row = d.mean(axis=1)
     grand = float(row.mean())
@@ -138,6 +175,64 @@ def _streaming(s: Sample, block_rows: int) -> CenteredMatrix:
     for i0 in range(0, s.n, block_rows):
         row[i0:i0 + block_rows] = cdist(s.data[i0:i0 + block_rows], s.data).mean(axis=1)
     return CenteredMatrix(s, row, float(row.mean()), block_rows=block_rows)
+
+
+def _sorted(s: Sample, block_rows: int) -> CenteredMatrix:
+    """The sorted form of a scalar sample: its order and row means, in O(n) memory."""
+    d, e = _deviations(s.data[:, 0])
+    order = np.argsort(d, kind="stable")
+    d = d[order]
+    before = np.concatenate(([0.0], np.cumsum(d[:-1])))  # sum of the values sorted before each
+    # sum_l |d_k - d_l| at sorted position i: (i - (n - i)) d_i + (total - before_i) - before_i
+    rows = (2 * np.arange(s.n) - s.n) * d + (d.sum() - 2.0 * before)
+    row = np.empty(s.n)
+    row[order] = np.ldexp(rows / s.n, e)
+    return CenteredMatrix(s, row, float(row.mean()), block_rows=block_rows, order=order)
+
+
+def cross_term(x: np.ndarray, y: np.ndarray, x_order: np.ndarray, y_order: np.ndarray) -> float:
+    """C = sum_kl |x_k - x_l| |y_k - y_l| of two scalar samples, in O(n log n) time.
+
+    ``x_order`` and ``y_order`` sort x and y.  Taken over x's order, each
+    pair i < j adds s_ij (x_j - x_i)(y_j - y_i), where s_ij is +1 when i
+    comes before j in y's order and -1 otherwise; a pair tied in y adds 0
+    either way.  Expanded, that is a sum over j of the weights (1, x, y, xy)
+    of the earlier i, signed by s_ij, so each j needs the sums of those
+    weights over the earlier i that come before it in y's order.  Merge
+    levels find them: at block size h, each element of the second half of a
+    2h-block takes the sums over the first half's elements of smaller rank.
+    Each level is one stable argsort of two sorted runs per block.  Pass
+    centered, scaled values, as the terms of the expansion cancel.
+    """
+    n = len(x)
+    x, y = x[x_order], y[x_order]
+    rank = np.empty(n, dtype=np.intp)
+    rank[y_order] = np.arange(n)
+    rank = rank[x_order]  # y's rank of each element, in x's order
+    weights = (np.ones(n), x, y, x * y)
+    below = [np.zeros(n) for _ in weights]  # sums over earlier elements of smaller rank
+    merged = np.arange(n)  # positions, sorted by (position >> level, rank)
+    level = 0
+    while (1 << level) < n:
+        merged = merged[np.argsort((merged >> (level + 1)) * n + rank[merged], kind="stable")]
+        first = (merged >> level) & 1 == 0
+        second = np.flatnonzero(~first)
+        j = merged[second]
+        upto = second - np.arange(len(second))  # first-half elements merged before each j
+        start = (j >> (level + 1)) << level  # first-half elements in the blocks before j's
+        left = merged[first]
+        for w, b in zip(weights, below):  # one weight at a time: 1-D gathers are the fast ones
+            sums = np.zeros(len(left) + 1)
+            np.cumsum(w[left], out=sums[1:])
+            b[j] += sums[upto] - sums[start]
+        level += 1
+    total = 0.0
+    # each j adds x_j y_j D_1 - y_j D_x - x_j D_y + D_xy, where D = 2 * below - all earlier
+    for w, b, coef in zip(weights, below, (x * y, -y, -x, np.ones(n))):
+        signed = 2.0 * b
+        signed[1:] -= np.cumsum(w[:-1])
+        total += float(np.dot(coef, signed))
+    return 2.0 * total
 
 
 def _inputs(x, y):
@@ -164,7 +259,8 @@ def dcov_sq(x, y, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> float:
     """Squared empirical distance covariance, Eq.-(4)-style.
 
     Materializes each N x N matrix when it fits in half of ``memory_budget``
-    bytes, otherwise streams it in blocks that fit there.
+    bytes.  Otherwise a scalar sample takes the sorted form and a
+    multivariate one streams in blocks that fit there.
     """
     xs, ys, _ = _inputs(x, y)
     return double_center(xs, memory_budget // 2).inner(double_center(ys, memory_budget // 2))
@@ -175,16 +271,19 @@ def dcor(x, y, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PairStats:
 
     The degenerate convention applies: if either distance variance is
     zero, the correlation is 0.  Pearson is filled only for scalar pairs
-    (and left as None there too if either side is constant).
+    (and left as None there too if either side is constant).  Each sample
+    is centered after an exact power-of-two scaling, undone in the
+    results, so that a tiny or huge spread neither underflows nor
+    overflows.
     """
     xs, ys, n = _inputs(x, y)
+    (xs, ex), (ys, ey) = _unit_spread(xs), _unit_spread(ys)
     a, b = double_center(xs, memory_budget // 2), double_center(ys, memory_budget // 2)
     vxy = a.inner(b)
-    dvar_x, dvar_y = a.dvar, b.dvar
-    if dvar_x <= 0.0 or dvar_y <= 0.0:
+    if a.dvar <= 0.0 or b.dvar <= 0.0:
         r = 0.0
     else:
-        r = float(np.sqrt(vxy) / np.sqrt(dvar_x * dvar_y))
+        r = float(np.sqrt(vxy) / np.sqrt(a.dvar * b.dvar))
         if r > 1.0 + 1e-12:
             raise DataQualityError(f"distance correlation exceeded 1 by too much: {r}")
         r = min(r, 1.0)
@@ -194,7 +293,26 @@ def dcor(x, y, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PairStats:
             p = pearson(a.sample, b.sample)
         except DegenerateVarianceError:  # a constant sample, or n < 2
             pass
-    return PairStats(dcov_sq=vxy, dvar_x=dvar_x, dvar_y=dvar_y, dcor=r, pearson=p, n=n)
+    return PairStats(
+        dcov_sq=math.ldexp(vxy, ex + ey),
+        dvar_x=math.ldexp(a.dvar, ex),
+        dvar_y=math.ldexp(b.dvar, ey),
+        dcor=r,
+        pearson=p,
+        n=n,
+    )
+
+
+def _unit_spread(x: Sample | CenteredMatrix) -> tuple[Sample | CenteredMatrix, int]:
+    """A sample scaled by 2^-e so that its widest column range is near 1, and e.
+
+    e is even, so the square roots of sums scaled by it stay exact and dcor
+    does not change by a bit.  A CenteredMatrix is returned as it is, with 0.
+    """
+    if isinstance(x, CenteredMatrix):
+        return x, 0
+    e = math.frexp(np.ptp(x.data, axis=0).max())[1] & ~1
+    return (Sample(np.ldexp(x.data, -e)) if e else x), e
 
 
 def pearson(x, y) -> float:
@@ -211,8 +329,7 @@ def pearson(x, y) -> float:
     if n < 2:
         raise DegenerateVarianceError("pearson requires at least 2 observations")
     # scaled so that the squares of a tiny nonzero spread cannot underflow to 0
-    xd = _unit_scaled(xs.data[:, 0] - xs.data[:, 0].mean())
-    yd = _unit_scaled(ys.data[:, 0] - ys.data[:, 0].mean())
+    xd, yd = _deviations(xs.data[:, 0])[0], _deviations(ys.data[:, 0])[0]
     sx = float(np.sqrt(np.sum(xd * xd)))
     sy = float(np.sqrt(np.sum(yd * yd)))
     if sx == 0.0 or sy == 0.0:
@@ -221,6 +338,16 @@ def pearson(x, y) -> float:
     return float(np.clip(r, -1.0, 1.0))
 
 
-def _unit_scaled(v: np.ndarray) -> np.ndarray:
-    """v scaled, exactly, by the power of two that brings max |v| into [0.5, 1)."""
-    return np.ldexp(v, -np.frexp(np.abs(v).max())[1])
+def _deviations(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """A scalar sample minus its mean, scaled by 2^-e, and e.
+
+    The scaling is exact: e is the power of two that brings the largest
+    deviation into [0.5, 1).  A constant sample's float mean can miss its
+    value, so its deviations are set to exactly 0, with e = 0.
+    """
+    d = v - v.mean()
+    lo, hi = d.min(), d.max()
+    if lo == hi:
+        return np.zeros_like(d), 0
+    e = math.frexp(max(hi, -lo))[1]
+    return np.ldexp(d, -e), e

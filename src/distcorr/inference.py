@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_MEMORY_BUDGET, _inputs, double_center, rows_that_fit
+from .core import DEFAULT_MEMORY_BUDGET, _deviations, _inputs, double_center, rows_that_fit
 from .errors import DataQualityError
 
 
@@ -93,8 +93,8 @@ def permutation_test(x, y, replicates: int, seed: int) -> TestResult:
 def _pearson_permutation_pvalue(xv: np.ndarray, yv: np.ndarray, replicates: int, seed: int) -> float:
     """Permutation test on |pearson| for the power comparison."""
     n = xv.shape[0]
-    xd = xv - xv.mean()
-    yd = yv - yv.mean()
+    # scaled as in pearson, so that a tiny spread cannot square to 0
+    xd, yd = _deviations(xv)[0], _deviations(yv)[0]
     sx = np.sqrt((xd * xd).sum())
     sy = np.sqrt((yd * yd).sum())
     if sx == 0.0 or sy == 0.0:

@@ -184,8 +184,9 @@ def dcov_sq_via_integral(x, y, spec: QuadratureSpec | None = None) -> Quadrature
 def dcov_sq_oracle_sums(x, y) -> float:
     """Three-sum expansion S1 + S2 - 2*S3 of the squared distance covariance.
 
-    Plain loops, own distance computation; intentionally shares nothing
-    with the production path so that agreement is meaningful.
+    Plain loops and correctly rounded sums, own distance computation;
+    intentionally shares nothing with the production path so that
+    agreement is meaningful.
     """
     xs, ys = as_sample(x), as_sample(y)
     n = check_same_n(xs, ys)
@@ -198,24 +199,12 @@ def dcov_sq_oracle_sums(x, y) -> float:
     a = [[dist(xrows[k], xrows[l]) for l in range(n)] for k in range(n)]
     b = [[dist(yrows[k], yrows[l]) for l in range(n)] for k in range(n)]
 
-    s1 = 0.0
-    a_bar = 0.0
-    b_bar = 0.0
-    for k in range(n):
-        for l in range(n):
-            s1 += a[k][l] * b[k][l]
-            a_bar += a[k][l]
-            b_bar += b[k][l]
-    s1 /= n * n
-    a_bar /= n * n
-    b_bar /= n * n
+    # math.fsum rounds each sum once, so the oracle's own error does not grow with n^3
+    cells = [(k, l) for k in range(n) for l in range(n)]
+    s1 = math.fsum(a[k][l] * b[k][l] for k, l in cells) / (n * n)
+    a_bar = math.fsum(a[k][l] for k, l in cells) / (n * n)
+    b_bar = math.fsum(b[k][l] for k, l in cells) / (n * n)
     s2 = a_bar * b_bar
-
-    s3 = 0.0
-    for k in range(n):
-        for l in range(n):
-            for m in range(n):
-                s3 += a[k][l] * b[k][m]
-    s3 /= n * n * n
+    s3 = math.fsum(a[k][l] * b[k][m] for k, l in cells for m in range(n)) / (n * n * n)
 
     return s1 + s2 - 2.0 * s3

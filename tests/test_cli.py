@@ -47,6 +47,14 @@ class TestCompute:
             main(["compute", "--x", x, "--y", y, "--bogus"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_nonpositive_memory_budget_exit_2(self, two_point, capsys, budget):
+        x, y = two_point
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--x", x, "--y", y, "--memory-budget", budget])
+        assert exc.value.code == 2
+        assert "--memory-budget" in capsys.readouterr().err
+
 
 class TestTest:
     def test_reproducible_with_seed(self, tmp_path, capsys):

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 import distcorr
 from distcorr.core import (
     CenteredMatrix,
+    cross_term,
     dcor,
     dcov_sq,
     dcov_sq_materialized,
@@ -51,6 +52,20 @@ def oracle_pairs(draw, max_n=10):
         elements = st.integers(0, 2).map(float) if tied else st.floats(-100, 100)
         x = draw(arrays(np.float64, (n, draw(st.integers(1, 3))), elements=elements))
         return x + draw(st.sampled_from([0.0, 1e8, -3e8]))
+
+    return sample(), sample()
+
+
+@st.composite
+def scalar_oracle_pairs(draw, max_n=40):
+    """Scalar (x, y) with n in 1..max_n: real or heavily tied, maybe offset by 1e8, maybe scaled by 1e+-150."""
+    n = draw(st.integers(1, max_n))
+
+    def sample():
+        tied = draw(st.booleans())
+        elements = st.integers(0, 2).map(float) if tied else st.floats(-1, 1)
+        x = draw(arrays(np.float64, n, elements=elements)) + draw(st.sampled_from([0.0, 1e8, -1e8]))
+        return x * draw(st.sampled_from([1.0, 1e150, 1e-150]))
 
     return sample(), sample()
 
@@ -173,6 +188,48 @@ class TestDcovSq:
         for value in (dcov_sq_materialized(x, y), dcov_sq_streaming(x, y, block_rows=3)):
             assert abs(value - oracle) <= tol
 
+    @given(scalar_oracle_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_sorted_path_agrees_with_oracle_sums(self, pair):
+        x, y = pair
+        a, b = double_center(x), double_center(y)
+        scale = float(np.abs(a.entries * b.entries).mean())
+        # a budget of 8 bytes leaves no room for a row: both sides take the sorted form
+        value = dcov_sq(x, y, memory_budget=8)
+        assert abs(value - dcov_sq_oracle_sums(x, y)) <= 1e-12 * scale + np.finfo(np.float64).tiny
+
+    def test_sorted_scalar_with_streaming_multivariate_matches_materialized(self):
+        rng = np.random.default_rng(17)
+        for n in (4, 7, 150):  # blocks of 3 rows
+            x, y = rng.normal(size=(n, 1)) + 1e3, rng.normal(size=(n, 3))
+            a, b = double_center(x, memory_budget=3 * 8 * n), double_center(y, memory_budget=3 * 8 * n)
+            assert a.order is not None and a.entries is None
+            assert b.order is None and b.entries is None
+            expected = dcov_sq_materialized(x, y)
+            for value in (a.inner(b), b.inner(a)):
+                assert abs(value - expected) <= 1e-12 * max(expected, 1e-300)
+
+    def test_cross_term_matches_direct_sum(self):
+        rng = np.random.default_rng(18)
+        for n in (1, 2, 3, 16, 33):
+            x = rng.integers(0, 4, n).astype(float)  # heavy ties on both sides
+            y = rng.normal(size=n) if n % 2 else rng.integers(0, 3, n).astype(float)
+            direct = float((np.abs(np.subtract.outer(x, x)) * np.abs(np.subtract.outer(y, y))).sum())
+            orders = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
+            assert cross_term(x, y, *orders) == pytest.approx(direct, rel=1e-13, abs=1e-13)
+
+    def test_sorted_dcor_traced_peak_is_linear(self):
+        rng = np.random.default_rng(16)
+        n = 20_000  # 3.2 GB per N x N matrix; about 27 floats per row in the sorted form
+        x, y = rng.normal(size=n), rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            dcor(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 8 * n
+
     @pytest.mark.parametrize("dim", [1, 3])
     def test_memory_budget_bounds_traced_peak(self, dim):
         # either side of the dispatch boundary, and with streaming blocks sized
@@ -230,6 +287,27 @@ class TestInner:
             left.inner(flipped)
         tiny = CenteredMatrix(a.sample, a.row_mean, a.grand_mean, entries=-1e-20 * a.entries)
         assert left.inner(tiny) == 0.0
+
+    def test_sorted_negative_sum_raises_or_clamps(self):
+        # inner(a, a) = C / n^2 - 2 mean(m_k^2) + g^2 for row means m_k and grand mean g.
+        # Moving the other side's grand mean to g - (t + d) / g makes it t - (t + d) = -d,
+        # with t the true value and d a share of the scale, the three terms' magnitudes.
+        x = np.random.default_rng(19).normal(size=40)
+        a = double_center(x, memory_budget=8)
+        n, g = a.n, a.grand_mean
+        t = a.inner(a)
+        c = float((np.abs(np.subtract.outer(x, x)) ** 2).sum()) / n**2
+        scale = c + 2.0 * float(np.mean(a.row_mean**2)) + g * g
+        assert t == pytest.approx(c - 2.0 * float(np.mean(a.row_mean**2)) + g * g, rel=1e-9)
+        for share, clamps in ((1e-6, False), (1e-14, True)):
+            moved = CenteredMatrix(
+                a.sample, a.row_mean, g - (t + share * scale) / g, block_rows=a.block_rows, order=a.order
+            )
+            if clamps:
+                assert a.inner(moved) == 0.0
+            else:
+                with pytest.raises(DataQualityError, match="significantly negative"):
+                    a.inner(moved)
 
 
 def random_orthogonal(dim, rng):
@@ -302,7 +380,7 @@ class TestPearson:
             assert pearson(x, [0.0, 1.0]) == pytest.approx(-1.0, abs=1e-15)
             stats = dcor(x, [0.0, 1.0])
             assert stats.pearson == pytest.approx(-1.0, abs=1e-15)
-            assert 0.0 <= stats.dcor <= 1.0
+            assert stats.dcor == pytest.approx(1.0, abs=1e-12)
 
     def test_scaling_leaves_ordinary_results_unchanged(self):
         rng = np.random.default_rng(14)
@@ -315,6 +393,14 @@ class TestPearson:
     def test_constant_raises(self):
         with pytest.raises(DegenerateVarianceError):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+    def test_constant_with_inexact_float_mean_raises(self):
+        x = np.full(29, -0.41861994)
+        assert x.mean() != x[0]  # the summed mean misses the value
+        with pytest.raises(DegenerateVarianceError):
+            pearson(x, np.arange(29.0))
+        stats = dcor(x, np.arange(29.0), memory_budget=8)
+        assert (stats.dcov_sq, stats.dvar_x, stats.dcor, stats.pearson) == (0.0, 0.0, 0.0, None)
 
     def test_affine_equivariance(self):
         rng = np.random.default_rng(8)

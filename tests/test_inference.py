@@ -103,3 +103,8 @@ class TestPowerSimulation:
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             power_simulation("independent", 20, 1, 1.5, 9, 0)
+
+    def test_pearson_pvalue_of_tiny_spread(self):
+        # the squared deviations of 1e-200 underflow to 0 unless scaled first
+        x = np.arange(1.0, 7.0) * 1e-200
+        assert inference._pearson_permutation_pvalue(x, 1e200 * x, 19, 1) == 1 / 20
