@@ -71,14 +71,14 @@ def _quad_spec(args) -> QuadratureSpec:
     )
 
 
-def _budget_bytes(text: str) -> int:
-    """A ``--memory-budget`` value: a positive whole number of bytes."""
+def _positive_int(text: str) -> int:
+    """A ``--memory-budget`` (bytes) or ``--replicates`` value: a positive whole number."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive whole number of bytes, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a positive whole number, got {text!r}")
     return value
 
 
@@ -212,14 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--delimiter", default=",")
-    p.add_argument("--memory-budget", type=_budget_bytes, default=DEFAULT_MEMORY_BUDGET)
+    p.add_argument("--memory-budget", type=_positive_int, default=DEFAULT_MEMORY_BUDGET)
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("test", help="permutation test of independence")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--delimiter", default=",")
-    p.add_argument("--replicates", type=int, default=999)
+    p.add_argument("--replicates", type=_positive_int, default=999)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_test)
 
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delimiter", default=",")
     p.add_argument("--missing-policy", choices=["reject", "drop-row", "pairwise-drop"], default="reject")
     p.add_argument("--p-values", action="store_true")
-    p.add_argument("--replicates", type=int, default=199)
+    p.add_argument("--replicates", type=_positive_int, default=199)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--nonlinear-gap", type=float, default=0.25)
     p.add_argument("--low-dcor-percentile", type=float, default=5.0)
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--replicates", type=int, default=199)
+    p.add_argument("--replicates", type=_positive_int, default=199)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_power)
 

@@ -79,8 +79,7 @@ class CenteredMatrix:
         sum |x_k - x_l| |y_k - y_l|.  The terms are summed in the units of
         the scaled deviations and scaled back at the end.
         """
-        x, ex = _deviations(self.sample.data[:, 0])
-        y, ey = _deviations(other.sample.data[:, 0])
+        (x, ex), (y, ey) = self.sample.deviations, other.sample.deviations
         n = self.n
         terms = (
             cross_term(x, y, self.order, other.order) / (n * n),
@@ -179,7 +178,7 @@ def _streaming(s: Sample, block_rows: int) -> CenteredMatrix:
 
 def _sorted(s: Sample, block_rows: int) -> CenteredMatrix:
     """The sorted form of a scalar sample: its order and row means, in O(n) memory."""
-    d, e = _deviations(s.data[:, 0])
+    d, e = s.deviations
     order = np.argsort(d, kind="stable")
     d = d[order]
     before = np.concatenate(([0.0], np.cumsum(d[:-1])))  # sum of the values sorted before each
@@ -329,25 +328,10 @@ def pearson(x, y) -> float:
     if n < 2:
         raise DegenerateVarianceError("pearson requires at least 2 observations")
     # scaled so that the squares of a tiny nonzero spread cannot underflow to 0
-    xd, yd = _deviations(xs.data[:, 0])[0], _deviations(ys.data[:, 0])[0]
-    sx = float(np.sqrt(np.sum(xd * xd)))
-    sy = float(np.sqrt(np.sum(yd * yd)))
+    xd, yd = xs.deviations[0], ys.deviations[0]
+    sx, sy = xs.deviation_norm, ys.deviation_norm
     if sx == 0.0 or sy == 0.0:
         raise DegenerateVarianceError("pearson is undefined for constant samples")
     r = float(np.sum(xd * yd)) / (sx * sy)
     return float(np.clip(r, -1.0, 1.0))
 
-
-def _deviations(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """A scalar sample minus its mean, scaled by 2^-e, and e.
-
-    The scaling is exact: e is the power of two that brings the largest
-    deviation into [0.5, 1).  A constant sample's float mean can miss its
-    value, so its deviations are set to exactly 0, with e = 0.
-    """
-    d = v - v.mean()
-    lo, hi = d.min(), d.max()
-    if lo == hi:
-        return np.zeros_like(d), 0
-    e = math.frexp(max(hi, -lo))[1]
-    return np.ldexp(d, -e), e

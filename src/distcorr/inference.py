@@ -5,6 +5,9 @@ distance correlation: the correlation's denominators are permutation
 invariant, so both statistics induce the same p-value, and the covariance
 avoids the degenerate-denominator branch entirely.
 
+x's centered matrix A has rows and columns that sum to zero, so sum(A * B^perm) =
+sum_kl A_kl |y_perm(k) - y_perm(l)|: every replicate needs A and y's raw distances.
+
 Determinism: every replicate b draws its permutation from a generator
 seeded by (seed, b), so replicates can run in any order (or in parallel)
 with identical results.
@@ -15,8 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_MEMORY_BUDGET, _deviations, _inputs, double_center, rows_that_fit
+from .core import DEFAULT_MEMORY_BUDGET, STREAM_BLOCK_ROWS, CenteredMatrix, _inputs, cdist
+from .core import double_center, rows_that_fit
 from .errors import DataQualityError
+from .samples import as_sample
 
 
 @dataclass(frozen=True)
@@ -50,10 +55,22 @@ def _exceedances(statistic, observed: float, n: int, replicates: int, seed: int)
     return sum(statistic(perm) >= observed for perm in perms)
 
 
+def _permuted_dcov_sq(a: CenteredMatrix, y: np.ndarray, perm: np.ndarray, rows: int) -> float:
+    """dcov^2(x, y[perm]) = sum_kl A_kl |y_perm(k) - y_perm(l)| / n^2, in blocks of ``rows`` rows."""
+    yp, n = y[perm], a.n
+    total = 0.0
+    for i0 in range(0, n, rows):
+        total += float(np.vdot(a._rows(i0, i0 + rows), cdist(yp[i0:i0 + rows], yp)))
+    return max(total / (n * n), 0.0)
+
+
 def permutation_test(x, y, replicates: int, seed: int) -> TestResult:
     """Independence test: permute y's rows, recompute dcov^2, count exceedances.
 
-    x and y are samples or their materialized CenteredMatrix objects.
+    x and y are samples or their CenteredMatrix objects.  The memory budget
+    covers x's centered matrix A and one block of y's distances; an A that
+    does not fit next to that block streams or takes the sorted form.  The
+    observed statistic is the identity's replicate, so ties compare equal.
 
     p-value uses the add-one formula (1 + #{perm >= observed}) / (1 + B),
     so it is never exactly 0; ties count as exceedances (conservative).
@@ -63,40 +80,24 @@ def permutation_test(x, y, replicates: int, seed: int) -> TestResult:
         raise DataQualityError("permutation test requires at least 2 observations")
     if replicates < 1:
         raise DataQualityError("permutation test requires at least 1 replicate")
-    # both centered matrices and one replicate's gather are alive at once
-    if rows_that_fit(n, DEFAULT_MEMORY_BUDGET) < 3 * n:
-        raise DataQualityError(
-            f"permutation test on {n} observations needs three {n} x {n} float64 matrices, "
-            f"above the memory budget of {DEFAULT_MEMORY_BUDGET} bytes"
-        )
-
-    # Centering commutes with applying one permutation to rows and columns,
-    # so permuting y's rows only permutes B's rows/columns: center both
-    # samples once and index per replicate.
-    a, b = double_center(xs), double_center(ys)
-    observed = a.inner(b)
-
+    rows = min(n, STREAM_BLOCK_ROWS, max(1, rows_that_fit(n, DEFAULT_MEMORY_BUDGET // 2)))
+    a = double_center(xs, DEFAULT_MEMORY_BUDGET - 8 * n * rows)
+    y = (ys.sample if isinstance(ys, CenteredMatrix) else ys).data
+    observed = _permuted_dcov_sq(a, y, np.arange(n), rows)
     exceed = _exceedances(
-        lambda perm: float(np.vdot(a.entries, b.entries[np.ix_(perm, perm)])) / (n * n),
-        observed, n, replicates, seed,
+        lambda perm: _permuted_dcov_sq(a, y, perm, rows), observed, n, replicates, seed
     )
-    p_value = (1 + exceed) / (1 + replicates)
-    return TestResult(
-        statistic=observed,
-        replicates=replicates,
-        exceed_count=exceed,
-        p_value=p_value,
-        seed=seed,
-    )
+    return TestResult(statistic=observed, replicates=replicates, exceed_count=exceed,
+                      p_value=(1 + exceed) / (1 + replicates), seed=seed)
 
 
 def _pearson_permutation_pvalue(xv: np.ndarray, yv: np.ndarray, replicates: int, seed: int) -> float:
     """Permutation test on |pearson| for the power comparison."""
     n = xv.shape[0]
     # scaled as in pearson, so that a tiny spread cannot square to 0
-    xd, yd = _deviations(xv)[0], _deviations(yv)[0]
-    sx = np.sqrt((xd * xd).sum())
-    sy = np.sqrt((yd * yd).sum())
+    xs, ys = as_sample(xv), as_sample(yv)
+    xd, yd = xs.deviations[0], ys.deviations[0]
+    sx, sy = xs.deviation_norm, ys.deviation_norm
     if sx == 0.0 or sy == 0.0:
         return 1.0
     observed = abs(float(xd @ yd)) / (sx * sy)

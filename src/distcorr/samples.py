@@ -5,7 +5,9 @@ Scalar samples have d = 1.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +31,17 @@ class Sample:
     @property
     def is_scalar(self) -> bool:
         return self.dim == 1
+
+    @cached_property
+    def deviations(self) -> tuple[np.ndarray, int]:
+        """A scalar sample's ``_deviations``, computed once per Sample."""
+        return _deviations(self.data[:, 0])
+
+    @cached_property
+    def deviation_norm(self) -> float:
+        """The Euclidean norm of the scaled deviations."""
+        d = self.deviations[0]
+        return float(np.sqrt(np.sum(d * d)))
 
 
 def as_sample(x) -> Sample:
@@ -58,6 +71,21 @@ def check_same_n(x: Sample, y: Sample) -> int:
             f"samples must have equal observation counts, got {x.n} and {y.n}"
         )
     return x.n
+
+
+def _deviations(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """A scalar sample minus its mean, scaled by 2^-e, and e.
+
+    The scaling is exact: e is the power of two that brings the largest
+    deviation into [0.5, 1).  A constant sample's float mean can miss its
+    value, so its deviations are set to exactly 0, with e = 0.
+    """
+    d = v - v.mean()
+    lo, hi = d.min(), d.max()
+    if lo == hi:
+        return np.zeros_like(d), 0
+    e = math.frexp(max(hi, -lo))[1]
+    return np.ldexp(d, -e), e
 
 
 def _euclidean(XA: np.ndarray, XB: np.ndarray) -> np.ndarray:

@@ -201,8 +201,9 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
             continue
         usable_groups += 1
         # One centered matrix per column, kept while the group's columns fit the
-        # budget next to one pair's two fresh matrices and a permutation gather.
-        cache = {} if rows_that_fit(rows, DEFAULT_MEMORY_BUDGET) >= (len(names) + 3) * rows else None
+        # budget next to one pair's two fresh matrices (a permutation test holds
+        # at most one of them and a distance block of at most as many rows).
+        cache = {} if rows_that_fit(rows, DEFAULT_MEMORY_BUDGET) >= (len(names) + 2) * rows else None
         pair_index = 0
         for i in range(len(names)):
             for j in range(i + 1, len(names)):

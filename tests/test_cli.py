@@ -56,6 +56,22 @@ class TestCompute:
         assert "--memory-budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("replicates", ["0", "-1"])
+@pytest.mark.parametrize("command", ["test", "screen", "power"])
+def test_nonpositive_replicates_exit_2(two_point, tmp_path, capsys, command, replicates):
+    x, y = two_point
+    argv = {
+        "test": ["test", "--x", x, "--y", y, "--seed", "1"],
+        "screen": ["screen", "--data", x, "--out", str(tmp_path / "out.csv"), "--p-values"],
+        "power": ["power", "--scenario", "linear", "--n", "10"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--replicates", replicates])
+    assert exc.value.code == 2
+    assert "--replicates" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 class TestTest:
     def test_reproducible_with_seed(self, tmp_path, capsys):
         rng = np.random.default_rng(3)

@@ -2,11 +2,44 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from distcorr import inference
 from distcorr.core import dcov_sq, double_center
 from distcorr.errors import DataQualityError
 from distcorr.inference import permutation_test, power_simulation
+from distcorr.oracles import dcov_sq_oracle_sums
+
+
+@st.composite
+def permuted_pairs(draw, max_n=12):
+    """(x, y, perm): x scalar or 3-D, real or heavily tied, maybe offset by 1e8; perm of n."""
+    n = draw(st.integers(2, max_n))
+
+    def sample(dim):
+        tied = draw(st.booleans())
+        elements = st.integers(0, 2).map(float) if tied else st.floats(-100, 100)
+        return draw(arrays(np.float64, (n, dim), elements=elements)) + draw(
+            st.sampled_from([0.0, 1e8, -3e8])
+        )
+
+    x, y = sample(draw(st.sampled_from([1, 3]))), sample(draw(st.integers(1, 2)))
+    return x, y, np.array(draw(st.permutations(range(n))))
+
+
+def gather_exceedances(x, y, replicates, seed):
+    """The earlier formula: B's rows and columns gathered by each permutation."""
+    a, b = double_center(x), double_center(y)
+    n = len(x)
+    observed = a.inner(b)
+    count = 0
+    for rep in range(1, replicates + 1):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
+        perm = rng.permutation(n)
+        count += float(np.vdot(a.entries, b.entries[np.ix_(perm, perm)])) / (n * n) >= observed
+    return count
 
 
 class TestPermutationTest:
@@ -41,23 +74,67 @@ class TestPermutationTest:
         res = permutation_test(x, y, replicates=19, seed=5)
         assert permutation_test(double_center(x), double_center(y), replicates=19, seed=5) == res
 
-    def test_over_budget_raises_naming_the_budget(self, monkeypatch):
-        n = 300
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_any_budget_gives_the_same_counts_within_it(self, dim, monkeypatch):
+        # below one n x n matrix, A streams (dim 3) or takes the sorted form (dim 1)
+        n = 600
         rng = np.random.default_rng(6)
-        x, y = rng.normal(size=n), rng.normal(size=n)
-        # two centered matrices plus one replicate's gather
-        needed = 3 * 8 * n * n
-        monkeypatch.setattr(inference, "DEFAULT_MEMORY_BUDGET", needed - 1)
-        with pytest.raises(DataQualityError, match=f"memory budget of {needed - 1} bytes"):
-            permutation_test(x, y, replicates=5, seed=1)
-        monkeypatch.setattr(inference, "DEFAULT_MEMORY_BUDGET", needed)
-        tracemalloc.start()
-        try:
-            permutation_test(x, y, replicates=5, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= needed + 80 * 8 * n
+        x, y = rng.normal(size=(n, dim)), rng.normal(size=n)
+        expected = permutation_test(x, y, replicates=9, seed=1)
+        block = 8 * n * min(n, inference.STREAM_BLOCK_ROWS)
+        for budget, bound in [
+            (8 * n * n // 2, 8 * n * n // 2),
+            (1000, 1000),
+            (inference.DEFAULT_MEMORY_BUDGET, 8 * n * n + block),
+        ]:
+            monkeypatch.setattr(inference, "DEFAULT_MEMORY_BUDGET", budget)
+            tracemalloc.start()
+            try:
+                res = permutation_test(x, y, replicates=9, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert res.exceed_count == expected.exceed_count
+            assert res.statistic == pytest.approx(expected.statistic, rel=1e-12)
+            assert peak <= bound + 80 * 8 * n
+
+    @given(permuted_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_replicates_agree_with_oracle_sums(self, case):
+        x, y, perm = case
+        n = len(x)
+        scale = float(np.abs(double_center(x).entries * double_center(y[perm]).entries).mean())
+        tol = 1e-12 * scale + np.finfo(np.float64).tiny
+        oracle = dcov_sq_oracle_sums(x, y[perm])
+        # materialized, and three rows per block: streaming for 3-D x, sorted for scalar x
+        small = double_center(x, memory_budget=3 * 8 * n)
+        assert (small.entries is None) == (n > 3)
+        for a, rows in [(double_center(x), n), (small, 3)]:
+            assert abs(inference._permuted_dcov_sq(a, y, perm, rows) - oracle) <= tol
+
+    def test_statistic_is_the_identity_replicate(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        x, y = rng.normal(size=(40, 3)), rng.normal(size=(40, 1))
+        res = permutation_test(x, y, replicates=9, seed=2)
+        assert res.statistic == inference._permuted_dcov_sq(double_center(x), y, np.arange(40), 40)
+
+        class Identity:
+            def permutation(self, n):
+                return np.arange(n)
+
+        # every replicate ties with the statistic, on every form of A
+        monkeypatch.setattr(inference, "_replicate_rng", lambda seed, b: Identity())
+        for xv, budget in [(x, inference.DEFAULT_MEMORY_BUDGET), (x, 1000), (x[:, 0], 1000)]:
+            monkeypatch.setattr(inference, "DEFAULT_MEMORY_BUDGET", budget)
+            assert permutation_test(xv, y, replicates=9, seed=2).exceed_count == 9
+
+    @pytest.mark.parametrize("n, dims, shift", [(30, (1, 1), 0.0), (50, (2, 1), 0.3), (80, (1, 2), 0.2)])
+    def test_counts_equal_the_gather_formula(self, n, dims, shift):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, dims[0]))
+        y = rng.normal(size=(n, dims[1])) + shift * x[:, :1]
+        for seed in (1, 2, 3):
+            assert permutation_test(x, y, 99, seed).exceed_count == gather_exceedances(x, y, 99, seed)
 
     def test_statistic_matches_dcov_sq(self):
         rng = np.random.default_rng(3)

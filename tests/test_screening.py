@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from distcorr import core, screening
+from distcorr import core, samples, screening
 from distcorr.core import dcor
 from distcorr.errors import DataFormatError
 from distcorr.screening import (
@@ -168,9 +168,15 @@ class TestPairwiseScreen:
         assert t1.records == t2.records
         assert all(r.p_value is not None for r in t1.records)
 
-    def test_records_equal_dcor_bit_for_bit(self):
+    def test_records_equal_dcor_bit_for_bit(self, monkeypatch):
+        calls = []
+        kernel = samples._deviations
+        monkeypatch.setattr(samples, "_deviations", lambda v: calls.append(len(v)) or kernel(v))
         ds = gapped_dataset()
         table = pairwise_screen(ds, ScreenConfig(p_values=True, replicates=9))
+        # pearson's deviations, like the distance matrices: once per cached column and
+        # group, and once per rebuilt side (see test_one_distance_matrix_per_column_and_group)
+        assert len(calls) == 4 + 4 + 2 + 4
         for r in table.records:
             mask = ds.group_labels == r.group
             a, b = ds.columns[r.var_a][mask], ds.columns[r.var_b][mask]
