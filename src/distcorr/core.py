@@ -8,12 +8,14 @@ place).  Otherwise a scalar sample takes the sorted form, whose inner
 product with another sorted form costs O(N log N) (``cross_term``), and
 a multivariate one streams, rebuilding blocks of as many rows as fit
 (at most ``STREAM_BLOCK_ROWS``).  ``dcov_sq`` and ``dcor`` give each
-sample half the budget.
+sample half the budget.  ``dcov_sq``, ``dcor``, the permutation test and
+the screen center each sample through ``_scaled``: scaled by a power of
+two so that no spread under- or overflows, and scaled back in results.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -38,7 +40,8 @@ class CenteredMatrix:
     is their mean.  ``entries`` is A when materialized, None otherwise.
     ``order`` sorts a scalar sample in the sorted form, and is None in the
     other two.  Rows that are not materialized are rebuilt from the sample
-    and the row means.
+    and the row means.  ``sample`` is the data times 2^-scale, so ``dvar``
+    and ``inner`` are 2^-scale and 2^-(scale + other.scale) times the data's.
     """
 
     sample: Sample
@@ -47,6 +50,7 @@ class CenteredMatrix:
     entries: np.ndarray | None = None
     block_rows: int = STREAM_BLOCK_ROWS
     order: np.ndarray | None = None
+    scale: int = 0
 
     @property
     def n(self) -> int:
@@ -98,19 +102,17 @@ class CenteredMatrix:
         nn = check_same_n(self, other) ** 2
         if self.order is not None and other.order is not None:
             total, scale = self._sorted_terms(other)
-            if total >= 0.0:
-                return total
         else:
             total = self._blockwise(other, lambda a, b: float(np.vdot(a, b))) / nn
-            if total >= 0.0:
-                return total
-            # only a negative sum needs the scale; row by row it adds O(n) memory
-            scale = self._blockwise(
-                other, lambda a, b: sum(float(np.abs(ra * rb).sum()) for ra, rb in zip(a, b))
-            ) / nn
-        if total < -1e-12 * max(scale, 1.0):
+            if total < 0.0:  # only a negative sum needs the scale; row by row it adds O(n) memory
+                scale = self._blockwise(
+                    other, lambda a, b: sum(float(np.abs(ra * rb).sum()) for ra, rb in zip(a, b))
+                ) / nn
+        if total >= 0.0:
+            return total
+        if math.isnan(total) or total < -1e-12 * max(scale, 1.0):
             raise DataQualityError(
-                f"distance covariance came out significantly negative ({total}); "
+                f"distance covariance came out NaN or significantly negative ({total}); "
                 "this indicates corrupted input or an internal error"
             )
         return 0.0
@@ -153,11 +155,9 @@ def double_center(x, memory_budget: int | None = None) -> CenteredMatrix:
     With no budget it is always materialized.  Otherwise a matrix that does
     not fit takes the sorted form if the sample is scalar and streams if
     not.  Rows rebuilt from either come in blocks of as many rows as fit
-    (at least one, at most ``STREAM_BLOCK_ROWS``).  An existing
-    CenteredMatrix is returned unchanged.
+    (at least one, at most ``STREAM_BLOCK_ROWS``).  The sample is taken as
+    it is, with scale 0.
     """
-    if isinstance(x, CenteredMatrix):
-        return x
     s = as_sample(x)
     rows = s.n if memory_budget is None else rows_that_fit(s.n, memory_budget)
     if rows < s.n:
@@ -234,10 +234,27 @@ def cross_term(x: np.ndarray, y: np.ndarray, x_order: np.ndarray, y_order: np.nd
     return 2.0 * total
 
 
-def _inputs(x, y):
-    """Validated samples, or CenteredMatrix objects as they are, and their common n."""
-    x, y = (v if isinstance(v, CenteredMatrix) else as_sample(v) for v in (x, y))
-    return x, y, check_same_n(x, y)
+def _unit(s: Sample) -> tuple[Sample, int]:
+    """s times 2^-e, with its widest column range near 1, and e (even: square roots stay exact)."""
+    half_range = np.ptp(np.ldexp(s.data, -1), axis=0).max()  # halved, so it cannot overflow
+    e = (math.frexp(half_range)[1] + 1) & ~1
+    return (Sample(np.ldexp(s.data, -e)) if e else s), e
+
+
+def _scaled(x, memory_budget: int | None = None) -> CenteredMatrix:
+    """The CenteredMatrix of ``_unit(x)``, with e as its ``scale``; a CenteredMatrix is kept."""
+    if isinstance(x, CenteredMatrix):
+        return x
+    s, e = _unit(as_sample(x))
+    return replace(double_center(s, memory_budget), scale=e)
+
+
+def _unscaled(v: float, e: int) -> float:
+    """v * 2^e, or inf beyond float64's range."""
+    try:
+        return math.ldexp(v, e)
+    except OverflowError:
+        return math.inf
 
 
 def dcov_sq_materialized(x, y) -> float:
@@ -261,8 +278,8 @@ def dcov_sq(x, y, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> float:
     bytes.  Otherwise a scalar sample takes the sorted form and a
     multivariate one streams in blocks that fit there.
     """
-    xs, ys, _ = _inputs(x, y)
-    return double_center(xs, memory_budget // 2).inner(double_center(ys, memory_budget // 2))
+    a, b = _scaled(x, memory_budget // 2), _scaled(y, memory_budget // 2)
+    return _unscaled(a.inner(b), a.scale + b.scale)
 
 
 def dcor(x, y, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PairStats:
@@ -270,14 +287,10 @@ def dcor(x, y, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PairStats:
 
     The degenerate convention applies: if either distance variance is
     zero, the correlation is 0.  Pearson is filled only for scalar pairs
-    (and left as None there too if either side is constant).  Each sample
-    is centered after an exact power-of-two scaling, undone in the
-    results, so that a tiny or huge spread neither underflows nor
-    overflows.
+    (and left as None there too if either side is constant).  x and y are
+    samples or their CenteredMatrix objects from ``_scaled``.
     """
-    xs, ys, n = _inputs(x, y)
-    (xs, ex), (ys, ey) = _unit_spread(xs), _unit_spread(ys)
-    a, b = double_center(xs, memory_budget // 2), double_center(ys, memory_budget // 2)
+    a, b = _scaled(x, memory_budget // 2), _scaled(y, memory_budget // 2)
     vxy = a.inner(b)
     if a.dvar <= 0.0 or b.dvar <= 0.0:
         r = 0.0
@@ -293,25 +306,13 @@ def dcor(x, y, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PairStats:
         except DegenerateVarianceError:  # a constant sample, or n < 2
             pass
     return PairStats(
-        dcov_sq=math.ldexp(vxy, ex + ey),
-        dvar_x=math.ldexp(a.dvar, ex),
-        dvar_y=math.ldexp(b.dvar, ey),
+        dcov_sq=_unscaled(vxy, a.scale + b.scale),
+        dvar_x=_unscaled(a.dvar, a.scale),
+        dvar_y=_unscaled(b.dvar, b.scale),
         dcor=r,
         pearson=p,
-        n=n,
+        n=a.n,
     )
-
-
-def _unit_spread(x: Sample | CenteredMatrix) -> tuple[Sample | CenteredMatrix, int]:
-    """A sample scaled by 2^-e so that its widest column range is near 1, and e.
-
-    e is even, so the square roots of sums scaled by it stay exact and dcor
-    does not change by a bit.  A CenteredMatrix is returned as it is, with 0.
-    """
-    if isinstance(x, CenteredMatrix):
-        return x, 0
-    e = math.frexp(np.ptp(x.data, axis=0).max())[1] & ~1
-    return (Sample(np.ldexp(x.data, -e)) if e else x), e
 
 
 def pearson(x, y) -> float:

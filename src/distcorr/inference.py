@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_MEMORY_BUDGET, STREAM_BLOCK_ROWS, CenteredMatrix, _inputs, cdist
-from .core import double_center, rows_that_fit
+from .core import DEFAULT_MEMORY_BUDGET, STREAM_BLOCK_ROWS, CenteredMatrix, cdist, rows_that_fit
+from .core import _scaled, _unit, _unscaled
 from .errors import DataQualityError
-from .samples import as_sample
+from .samples import as_sample, check_same_n
 
 
 @dataclass(frozen=True)
@@ -61,34 +61,36 @@ def _permuted_dcov_sq(a: CenteredMatrix, y: np.ndarray, perm: np.ndarray, rows: 
     total = 0.0
     for i0 in range(0, n, rows):
         total += float(np.vdot(a._rows(i0, i0 + rows), cdist(yp[i0:i0 + rows], yp)))
+    if np.isnan(total):
+        raise DataQualityError("a permutation replicate of dcov^2 came out NaN")
     return max(total / (n * n), 0.0)
 
 
 def permutation_test(x, y, replicates: int, seed: int) -> TestResult:
     """Independence test: permute y's rows, recompute dcov^2, count exceedances.
 
-    x and y are samples or their CenteredMatrix objects.  The memory budget
-    covers x's centered matrix A and one block of y's distances; an A that
-    does not fit next to that block streams or takes the sorted form.  The
-    observed statistic is the identity's replicate, so ties compare equal.
+    x and y are samples or their CenteredMatrix objects from ``_scaled``.  The
+    memory budget covers x's A and one block of y's (scaled) distances; an A
+    that does not fit next to that block streams or takes the sorted form.
+    The observed statistic is the identity's replicate, so ties compare equal.
 
     p-value uses the add-one formula (1 + #{perm >= observed}) / (1 + B),
     so it is never exactly 0; ties count as exceedances (conservative).
     """
-    xs, ys, n = _inputs(x, y)
-    if n < 2:
+    ys, ey = (y.sample, y.scale) if isinstance(y, CenteredMatrix) else _unit(as_sample(y))
+    if ys.n < 2:
         raise DataQualityError("permutation test requires at least 2 observations")
     if replicates < 1:
         raise DataQualityError("permutation test requires at least 1 replicate")
-    rows = min(n, STREAM_BLOCK_ROWS, max(1, rows_that_fit(n, DEFAULT_MEMORY_BUDGET // 2)))
-    a = double_center(xs, DEFAULT_MEMORY_BUDGET - 8 * n * rows)
-    y = (ys.sample if isinstance(ys, CenteredMatrix) else ys).data
-    observed = _permuted_dcov_sq(a, y, np.arange(n), rows)
+    rows = min(ys.n, STREAM_BLOCK_ROWS, max(1, rows_that_fit(ys.n, DEFAULT_MEMORY_BUDGET // 2)))
+    a = _scaled(x, DEFAULT_MEMORY_BUDGET - 8 * ys.n * rows)
+    n = check_same_n(a, ys)
+    observed = _permuted_dcov_sq(a, ys.data, np.arange(n), rows)
     exceed = _exceedances(
-        lambda perm: _permuted_dcov_sq(a, y, perm, rows), observed, n, replicates, seed
+        lambda perm: _permuted_dcov_sq(a, ys.data, perm, rows), observed, n, replicates, seed
     )
-    return TestResult(statistic=observed, replicates=replicates, exceed_count=exceed,
-                      p_value=(1 + exceed) / (1 + replicates), seed=seed)
+    return TestResult(statistic=_unscaled(observed, a.scale + ey), replicates=replicates,
+                      exceed_count=exceed, p_value=(1 + exceed) / (1 + replicates), seed=seed)
 
 
 def _pearson_permutation_pvalue(xv: np.ndarray, yv: np.ndarray, replicates: int, seed: int) -> float:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import DEFAULT_MEMORY_BUDGET, dcor, double_center, rows_that_fit
+from .core import DEFAULT_MEMORY_BUDGET, _scaled, dcor, rows_that_fit
 from .errors import DataFormatError
 from .inference import permutation_test
 
@@ -32,7 +32,6 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ScreenConfig:
-    columns: tuple[str, ...] | None = None  # None = all numeric columns
     p_values: bool = False
     replicates: int = 199
     seed: int = 0
@@ -168,7 +167,7 @@ def _centered_column(cache: dict | None, name: str, col: np.ndarray, ok: np.ndar
     if cache is None or not np.array_equal(ok, np.isfinite(col)):
         return col[ok]
     if name not in cache:
-        cache[name] = double_center(col[ok])
+        cache[name] = _scaled(col[ok])
     return cache[name]
 
 
@@ -176,10 +175,7 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
     """One record per unordered column pair per group: K columns -> K(K-1)/2."""
     if config is None:
         config = ScreenConfig()
-    names = list(config.columns) if config.columns is not None else list(dataset.columns)
-    for name in names:
-        if name not in dataset.columns:
-            raise DataFormatError(f"column {name!r} not in dataset")
+    names = list(dataset.columns)
     if len(names) < 2:
         raise DataFormatError("screening needs at least 2 numeric columns")
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from distcorr.cli import main
+from distcorr.core import dcor
 
 
 def write_sample(path, values):
@@ -35,6 +36,17 @@ class TestCompute:
         assert out["dcov_sq"] == pytest.approx(0.25, abs=1e-12)
         assert out["dcor"] == pytest.approx(1.0, abs=1e-12)
         assert out["schema_version"] == 1
+
+    def test_huge_spread_prints_unscaled_dcor(self, tmp_path, capsys):
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=30)
+        y = x * x + 0.1 * rng.normal(size=30)
+        xs = write_sample(tmp_path / "x.csv", [repr(float(1e155 * v)) for v in x])
+        ys = write_sample(tmp_path / "y.csv", [repr(float(1e155 * v)) for v in y])
+        code, out = run(capsys, ["compute", "--x", xs, "--y", ys])
+        assert code == 0
+        assert out["dcor"] == pytest.approx(dcor(x, y).dcor, rel=1e-12)
+        assert out["dcov_sq"] == float("inf")  # printed as JSON Infinity
 
     def test_missing_file_exit_3(self, two_point, capsys):
         x, _ = two_point

@@ -272,6 +272,9 @@ class TestDcovSq:
             v0 = dcov_sq(x, y)
             v1 = dcov_sq(a * x, b * y)
             assert abs(v1 - abs(a) * abs(b) * v0) <= 1e-10 * max(v0, 1e-30)
+        # each sample is centered at unit scale; a value beyond float64's range reads inf
+        assert dcov_sq(1e-160 * x, 1e160 * y) == pytest.approx(v0, rel=1e-10)
+        assert dcov_sq(1e160 * x, 1e160 * y) == np.inf
 
 
 class TestInner:
@@ -287,6 +290,15 @@ class TestInner:
             left.inner(flipped)
         tiny = CenteredMatrix(a.sample, a.row_mean, a.grand_mean, entries=-1e-20 * a.entries)
         assert left.inner(tiny) == 0.0
+
+    def test_nan_sum_raises(self):
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=50)
+        y = x * x + 0.1 * rng.normal(size=50)
+        # unscaled, the products overflow to inf of both signs, and their sum is NaN
+        a, b = double_center(1e160 * x), double_center(1e160 * y)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DataQualityError, match="NaN"):
+            a.inner(b)
 
     def test_sorted_negative_sum_raises_or_clamps(self):
         # inner(a, a) = C / n^2 - 2 mean(m_k^2) + g^2 for row means m_k and grand mean g.
@@ -352,6 +364,14 @@ class TestDcor:
             r0 = dcor(x, y).dcor
             r1 = dcor(a * x, b * y).dcor
             assert abs(r0 - r1) <= 1e-10 * max(r0, 1.0)
+            for s in (1e-165, 1e155):  # squared distances would under- or overflow
+                assert abs(dcor(s * x, s * y).dcor - r0) <= 1e-10 * max(r0, 1.0)
+        stats = dcor(1e155 * x, 1e155 * y)
+        assert stats.dcov_sq == np.inf
+        assert stats.dvar_x == pytest.approx(1e155 * dcor(x, y).dvar_x, rel=1e-12)
+        # a column range beyond float64's largest value, as in [-1e308, 1e308]
+        wide = x / np.abs(x).max()
+        assert dcor(1.7e308 * wide, y).dcor == pytest.approx(dcor(wide, y).dcor, rel=1e-12)
 
     @given(finite_samples(max_n=10))
     @settings(max_examples=30, deadline=None)

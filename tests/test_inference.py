@@ -128,13 +128,28 @@ class TestPermutationTest:
             monkeypatch.setattr(inference, "DEFAULT_MEMORY_BUDGET", budget)
             assert permutation_test(xv, y, replicates=9, seed=2).exceed_count == 9
 
-    @pytest.mark.parametrize("n, dims, shift", [(30, (1, 1), 0.0), (50, (2, 1), 0.3), (80, (1, 2), 0.2)])
+    @pytest.mark.parametrize(
+        "n, dims, shift", [(30, (1, 1), 0.0), (50, (2, 1), 0.3), (80, (1, 2), 0.2), (40, (3, 1), 0.2)]
+    )
     def test_counts_equal_the_gather_formula(self, n, dims, shift):
         rng = np.random.default_rng(n)
         x = rng.normal(size=(n, dims[0]))
         y = rng.normal(size=(n, dims[1])) + shift * x[:, :1]
         for seed in (1, 2, 3):
-            assert permutation_test(x, y, 99, seed).exceed_count == gather_exceedances(x, y, 99, seed)
+            count = gather_exceedances(x, y, 99, seed)
+            assert permutation_test(x, y, 99, seed).exceed_count == count
+            # unscaled, A times y's distances would underflow to 0 or overflow
+            for sx, sy in ((1e-165, 1e-165), (1e160, 1e160), (1.0, 1e307)):
+                assert permutation_test(sx * x, sy * y, 99, seed).exceed_count == count
+
+    def test_nan_replicate_raises(self):
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=50)
+        y = x * x + 0.1 * rng.normal(size=50)
+        # unscaled, the products overflow to inf of both signs, and their sum is NaN
+        a = double_center(1e160 * x)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DataQualityError, match="NaN"):
+            inference._permuted_dcov_sq(a, 1e160 * y[:, None], np.arange(50), 50)
 
     def test_statistic_matches_dcov_sq(self):
         rng = np.random.default_rng(3)

@@ -172,17 +172,23 @@ class TestPairwiseScreen:
         calls = []
         kernel = samples._deviations
         monkeypatch.setattr(samples, "_deviations", lambda v: calls.append(len(v)) or kernel(v))
-        ds = gapped_dataset()
-        table = pairwise_screen(ds, ScreenConfig(p_values=True, replicates=9))
-        # pearson's deviations, like the distance matrices: once per cached column and
-        # group, and once per rebuilt side (see test_one_distance_matrix_per_column_and_group)
-        assert len(calls) == 4 + 4 + 2 + 4
-        for r in table.records:
-            mask = ds.group_labels == r.group
-            a, b = ds.columns[r.var_a][mask], ds.columns[r.var_b][mask]
-            ok = np.isfinite(a) & np.isfinite(b)
-            stats = dcor(a[ok], b[ok])
-            assert (r.n, r.dcor, r.pearson) == (int(ok.sum()), stats.dcor, stats.pearson)
+        base, cfg = gapped_dataset(), ScreenConfig(p_values=True, replicates=9)
+        unscaled = pairwise_screen(base, cfg)
+        # column a's squared distances underflow or overflow unless it is scaled first
+        for scale in (1.0, 1e-300, 1e160):
+            ds = replace(base, columns={**base.columns, "a": scale * base.columns["a"]})
+            calls.clear()
+            table = pairwise_screen(ds, cfg)
+            # pearson's deviations, like the distance matrices: once per cached column and
+            # group, and once per rebuilt side (see test_one_distance_matrix_per_column_and_group)
+            assert len(calls) == 4 + 4 + 2 + 4
+            for r, u in zip(table.records, unscaled.records):
+                mask = ds.group_labels == r.group
+                a, b = ds.columns[r.var_a][mask], ds.columns[r.var_b][mask]
+                ok = np.isfinite(a) & np.isfinite(b)
+                stats = dcor(a[ok], b[ok])
+                assert (r.n, r.dcor, r.pearson) == (int(ok.sum()), stats.dcor, stats.pearson)
+                assert r.p_value == u.p_value
         # cache hits (full columns), one cached side (c with a full column), and
         # a pairwise-drop pair whose rows differ from both cached columns (c, d)
         assert {(r.var_a, r.var_b, r.n) for r in table.records if r.group == "g0"} >= {
