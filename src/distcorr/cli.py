@@ -21,6 +21,7 @@ from .errors import (
     DataQualityError,
     DimensionMismatchError,
     DistcorrError,
+    UsageError,
 )
 from .inference import SCENARIOS, permutation_test, power_simulation
 from .oracles import QuadratureSpec, dcov_sq_oracle_sums, dcov_sq_via_integral
@@ -279,7 +280,7 @@ def main(argv=None) -> int:
     except (ConvergenceError, VerificationFailure) as exc:
         print(f"error: verification: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 2
 

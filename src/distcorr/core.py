@@ -249,6 +249,11 @@ def _scaled(x, memory_budget: int | None = None) -> CenteredMatrix:
     return replace(double_center(s, memory_budget), scale=e)
 
 
+def _centered_pair(x, y, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> tuple[CenteredMatrix, ...]:
+    """``_scaled`` x and y, with half of ``memory_budget`` each."""
+    return _scaled(x, memory_budget // 2), _scaled(y, memory_budget // 2)
+
+
 def _unscaled(v: float, e: int) -> float:
     """v * 2^e, or inf beyond float64's range."""
     try:
@@ -278,7 +283,7 @@ def dcov_sq(x, y, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> float:
     bytes.  Otherwise a scalar sample takes the sorted form and a
     multivariate one streams in blocks that fit there.
     """
-    a, b = _scaled(x, memory_budget // 2), _scaled(y, memory_budget // 2)
+    a, b = _centered_pair(x, y, memory_budget)
     return _unscaled(a.inner(b), a.scale + b.scale)
 
 
@@ -290,7 +295,7 @@ def dcor(x, y, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PairStats:
     (and left as None there too if either side is constant).  x and y are
     samples or their CenteredMatrix objects from ``_scaled``.
     """
-    a, b = _scaled(x, memory_budget // 2), _scaled(y, memory_budget // 2)
+    a, b = _centered_pair(x, y, memory_budget)
     vxy = a.inner(b)
     if a.dvar <= 0.0 or b.dvar <= 0.0:
         r = 0.0

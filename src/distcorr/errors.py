@@ -17,6 +17,10 @@ class DegenerateVarianceError(DistcorrError):
     """Raised when Pearson correlation is requested for a constant sample."""
 
 
+class UsageError(DistcorrError, ValueError):
+    """Raised for an invalid argument: an unknown scenario, an out-of-range parameter."""
+
+
 class DataFormatError(DistcorrError):
     """Raised for malformed input files: ragged rows, bad cells, missing values."""
 

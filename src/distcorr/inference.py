@@ -7,6 +7,16 @@ avoids the degenerate-denominator branch entirely.
 
 x's centered matrix A has rows and columns that sum to zero, so sum(A * B^perm) =
 sum_kl A_kl |y_perm(k) - y_perm(l)|: every replicate needs A and y's raw distances.
+Both are symmetric with a zero diagonal, so the sum runs over unordered pairs,
+laid out by shift: pair (k, (k + s) mod n) for s = 1..n//2 and every k.  A is
+stored once per test in that layout, C[s - 1, k] = w_s A_k,(k+s) mod n, where
+w_s = 2 counts shift n - s too, except for s = n/2 (n even), which covers its
+own mirror.  C comes from x's sample and row means alone, never from A's
+entries.  A replicate takes y[perm]'s distances at the same shifts, one strided
+view over y[perm] joined to itself, and their dot product with C: half of the
+n x n entries.  The memory budget covers C and one block of y's shift distances
+with its per-dimension temporary; a C that does not fit is rebuilt in blocks
+for each replicate.
 
 Determinism: every replicate b draws its permutation from a generator
 seeded by (seed, b), so replicates can run in any order (or in parallel)
@@ -14,14 +24,15 @@ with identical results.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DEFAULT_MEMORY_BUDGET, STREAM_BLOCK_ROWS, CenteredMatrix, cdist, rows_that_fit
+from .core import DEFAULT_MEMORY_BUDGET, STREAM_BLOCK_ROWS, CenteredMatrix, rows_that_fit
 from .core import _scaled, _unit, _unscaled
-from .errors import DataQualityError
-from .samples import as_sample, check_same_n
+from .errors import DataQualityError, UsageError
+from .samples import _shift_distances, _shifted, as_sample, check_same_n
 
 
 @dataclass(frozen=True)
@@ -55,13 +66,38 @@ def _exceedances(statistic, observed: float, n: int, replicates: int, seed: int)
     return sum(statistic(perm) >= observed for perm in perms)
 
 
-def _permuted_dcov_sq(a: CenteredMatrix, y: np.ndarray, perm: np.ndarray, rows: int) -> float:
-    """dcov^2(x, y[perm]) = sum_kl A_kl |y_perm(k) - y_perm(l)| / n^2, in blocks of ``rows`` rows."""
+def _centered_shifts(a: CenteredMatrix, s0: int, s1: int) -> np.ndarray:
+    """C's rows for the shifts s0 <= s < s1: w_s A_k,(k+s) mod n, from a's sample and row means.
+
+    Centered in the order of ``core._center``, so each entry is w_s times A's bit for bit.
+    """
+    n, m = a.n, a.row_mean
+    c = _shift_distances(a.sample.data, s0, s1)
+    c -= m
+    c -= _shifted(m, s0, s1)
+    c += a.grand_mean
+    c[:max(0, (n + 1) // 2 - s0)] *= 2.0  # every shift below n/2 stands for its mirror n - s too
+    return c
+
+
+def _shift_blocks(a: CenteredMatrix, rows: int, keep: bool) -> list:
+    """(s0, s1, C's rows) for blocks of ``rows`` shifts over s = 1..n//2, rows None unless kept."""
+    h = a.n // 2
+    spans = [(s0, min(s0 + rows, h + 1)) for s0 in range(1, h + 1, rows)]
+    return [(s0, s1, _centered_shifts(a, s0, s1) if keep else None) for s0, s1 in spans]
+
+
+def _permuted_dcov_sq(a: CenteredMatrix, blocks: list, y: np.ndarray, perm: np.ndarray) -> float:
+    """dcov^2(x, y[perm]): C times y[perm]'s shift distances, block by block, over n^2.
+
+    ``blocks`` come from ``_shift_blocks(a, ...)``; a block that is not kept is rebuilt.
+    """
     yp, n = y[perm], a.n
     total = 0.0
-    for i0 in range(0, n, rows):
-        total += float(np.vdot(a._rows(i0, i0 + rows), cdist(yp[i0:i0 + rows], yp)))
-    if np.isnan(total):
+    for s0, s1, c in blocks:
+        c = _centered_shifts(a, s0, s1) if c is None else c
+        total += float(np.vdot(c, _shift_distances(yp, s0, s1)))
+    if math.isnan(total):
         raise DataQualityError("a permutation replicate of dcov^2 came out NaN")
     return max(total / (n * n), 0.0)
 
@@ -70,8 +106,11 @@ def permutation_test(x, y, replicates: int, seed: int) -> TestResult:
     """Independence test: permute y's rows, recompute dcov^2, count exceedances.
 
     x and y are samples or their CenteredMatrix objects from ``_scaled``.  The
-    memory budget covers x's A and one block of y's (scaled) distances; an A
-    that does not fit next to that block streams or takes the sorted form.
+    memory budget covers C, x's centered matrix over unordered pairs, and one
+    block of shifts of y's (scaled) distances with its temporary.  A C that
+    does not fit next to that block is rebuilt per replicate, in blocks of as
+    many shifts.  A raw x's A is materialized only where it fits in C's place,
+    and goes before C is built; otherwise x streams or takes the sorted form.
     The observed statistic is the identity's replicate, so ties compare equal.
 
     p-value uses the add-one formula (1 + #{perm >= observed}) / (1 + B),
@@ -82,12 +121,19 @@ def permutation_test(x, y, replicates: int, seed: int) -> TestResult:
         raise DataQualityError("permutation test requires at least 2 observations")
     if replicates < 1:
         raise DataQualityError("permutation test requires at least 1 replicate")
-    rows = min(ys.n, STREAM_BLOCK_ROWS, max(1, rows_that_fit(ys.n, DEFAULT_MEMORY_BUDGET // 2)))
-    a = _scaled(x, DEFAULT_MEMORY_BUDGET - 8 * ys.n * rows)
-    n = check_same_n(a, ys)
-    observed = _permuted_dcov_sq(a, ys.data, np.arange(n), rows)
+    n, h = ys.n, ys.n // 2
+    # a block of shifts of y's distances and its temporary take 16 n bytes per shift,
+    # and a rebuilt block of C as much: at most half of the budget each
+    rows = min(h, STREAM_BLOCK_ROWS, max(1, rows_that_fit(n, DEFAULT_MEMORY_BUDGET // 4)))
+    left = DEFAULT_MEMORY_BUDGET - 16 * n * rows
+    keep = 8 * n * h <= left
+    # C reads only the sample and row means: a raw x's materialized A goes before C is built
+    a = replace(_scaled(x, left), entries=None)
+    check_same_n(a, ys)
+    blocks = _shift_blocks(a, rows, keep)
+    observed = _permuted_dcov_sq(a, blocks, ys.data, np.arange(n))
     exceed = _exceedances(
-        lambda perm: _permuted_dcov_sq(a, ys.data, perm, rows), observed, n, replicates, seed
+        lambda perm: _permuted_dcov_sq(a, blocks, ys.data, perm), observed, n, replicates, seed
     )
     return TestResult(statistic=_unscaled(observed, a.scale + ey), replicates=replicates,
                       exceed_count=exceed, p_value=(1 + exceed) / (1 + replicates), seed=seed)
@@ -121,7 +167,7 @@ def _draw_scenario(scenario: str, n: int, rng: np.random.Generator):
     if scenario == "quadratic":
         x = rng.uniform(-1.0, 1.0, size=n)
         return x, x * x
-    raise ValueError(f"unknown scenario {scenario!r}; known: {', '.join(SCENARIOS)}")
+    raise UsageError(f"unknown scenario {scenario!r}; known: {', '.join(SCENARIOS)}")
 
 
 def power_simulation(
@@ -134,11 +180,11 @@ def power_simulation(
 ) -> PowerReport:
     """Rejection rates of the dcov and |pearson| permutation tests at level alpha."""
     if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+        raise UsageError(f"alpha must be in (0, 1), got {alpha}")
     if trials < 1 or n < 2 or replicates < 1:
-        raise ValueError("trials, replicates must be >= 1 and n >= 2")
+        raise UsageError("trials, replicates must be >= 1 and n >= 2")
     if scenario not in SCENARIOS:
-        raise ValueError(f"unknown scenario {scenario!r}; known: {', '.join(SCENARIOS)}")
+        raise UsageError(f"unknown scenario {scenario!r}; known: {', '.join(SCENARIOS)}")
 
     reject_dcov = 0
     reject_pearson = 0

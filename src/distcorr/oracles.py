@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DataQualityError
+from .errors import ConvergenceError, DataQualityError, UsageError
 from .samples import as_sample, check_same_n
 
 C1 = math.pi  # normalizing constant for dimension 1
@@ -39,11 +39,11 @@ class QuadratureSpec:
 
     def __post_init__(self):
         if self.truncation_radius <= 0:
-            raise ValueError("truncation_radius must be positive")
+            raise UsageError("truncation_radius must be positive")
         if self.panel_count < 2:
-            raise ValueError("panel_count must be at least 2")
+            raise UsageError("panel_count must be at least 2")
         if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+            raise UsageError("tolerance must be positive")
 
 
 @dataclass(frozen=True)

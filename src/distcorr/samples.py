@@ -77,15 +77,24 @@ def _deviations(v: np.ndarray) -> tuple[np.ndarray, int]:
     """A scalar sample minus its mean, scaled by 2^-e, and e.
 
     The scaling is exact: e is the power of two that brings the largest
-    deviation into [0.5, 1).  A constant sample's float mean can miss its
-    value, so its deviations are set to exactly 0, with e = 0.
+    deviation into [0.5, 1).  v is scaled below 1 before its mean is taken,
+    so a sum beyond float64's range cannot overflow.  A constant sample's
+    float mean can miss its value, so its deviations are set to exactly 0,
+    with e = 0.
     """
+    f = math.frexp(float(np.abs(v).max()))[1]
+    v = np.ldexp(v, -f)
     d = v - v.mean()
     lo, hi = d.min(), d.max()
     if lo == hi:
         return np.zeros_like(d), 0
     e = math.frexp(max(hi, -lo))[1]
-    return np.ldexp(d, -e), e
+    return np.ldexp(d, -e), e + f
+
+
+def _even_exponent(data: np.ndarray) -> int:
+    """The even power of two that brings data's largest magnitude near 1: squares stay in range."""
+    return int(np.frexp(np.abs(data).max())[1]) & ~1
 
 
 def _euclidean(XA: np.ndarray, XB: np.ndarray) -> np.ndarray:
@@ -98,7 +107,7 @@ def _euclidean(XA: np.ndarray, XB: np.ndarray) -> np.ndarray:
         out = np.subtract.outer(XA[:, 0], XB[:, 0])
         return np.abs(out, out=out)
     # exact scaling by an even power of two keeps the squares from under- or overflowing
-    e = int(np.frexp(max(np.abs(XA).max(), np.abs(XB).max()))[1]) & ~1
+    e = max(_even_exponent(XA), _even_exponent(XB))
     XA, XB = np.ldexp(XA, -e), np.ldexp(XB, -e)
     out = np.subtract.outer(XA[:, 0], XB[:, 0])
     np.multiply(out, out, out=out)
@@ -107,4 +116,39 @@ def _euclidean(XA: np.ndarray, XB: np.ndarray) -> np.ndarray:
         for k in range(1, XA.shape[1]):
             diff = np.subtract.outer(XA[rows, k], XB[:, k])
             out[rows] += np.multiply(diff, diff, out=diff)
+    return np.ldexp(np.sqrt(out, out=out), e, out=out)
+
+
+def _shifted(z: np.ndarray, s0: int, s1: int) -> np.ndarray:
+    """[s - s0, ..., k] = z[(k + s) % n] for s0 <= s < s1: a strided view over z joined to itself.
+
+    It is ``sliding_window_view(joined, n, axis=0)[s0:s1]``, built directly:
+    that function's argument checks cost about 20 us a call, a sixth of a
+    permutation replicate at n = 300.
+    """
+    n = len(z)
+    joined = np.concatenate((z, z[:-1]))
+    step = joined.strides[0]
+    shape, strides = (s1 - s0, *z.shape[1:], n), (step, *joined.strides[1:], step)
+    return np.ndarray(shape, joined.dtype, joined, s0 * step, strides)
+
+
+def _shift_distances(data: np.ndarray, s0: int, s1: int) -> np.ndarray:
+    """|z_((k+s) mod n) - z_k| for the shifts s0 <= s < s1: one row of n per shift.
+
+    Entry [s - s0, k] equals ``_euclidean(data, data)[k, (k + s) % n]`` bit for
+    bit: the same differences, squares, order of dimensions and exact scaling.
+    """
+    dim = data.shape[1]
+    e = _even_exponent(data) if dim > 1 else 0
+    z = np.ldexp(data, -e) if e else data
+    shifted = _shifted(z, s0, s1)  # [s, j, k] = z_(k+s)j
+    out = np.subtract(shifted[:, 0], z[:, 0])
+    if dim == 1:
+        return np.abs(out, out=out)
+    np.multiply(out, out, out=out)
+    diff = np.empty_like(out)
+    for j in range(1, dim):
+        np.subtract(shifted[:, j], z[:, j], out=diff)
+        out += np.multiply(diff, diff, out=diff)
     return np.ldexp(np.sqrt(out, out=out), e, out=out)

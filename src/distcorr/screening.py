@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import DEFAULT_MEMORY_BUDGET, _scaled, dcor, rows_that_fit
+from .core import DEFAULT_MEMORY_BUDGET, _centered_pair, _scaled, dcor, rows_that_fit
 from .errors import DataFormatError
 from .inference import permutation_test
 
@@ -198,7 +198,7 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
         usable_groups += 1
         # One centered matrix per column, kept while the group's columns fit the
         # budget next to one pair's two fresh matrices (a permutation test holds
-        # at most one of them and a distance block of at most as many rows).
+        # half of one, over unordered pairs, and a block of y's distances).
         cache = {} if rows_that_fit(rows, DEFAULT_MEMORY_BUDGET) >= (len(names) + 2) * rows else None
         pair_index = 0
         for i in range(len(names)):
@@ -215,13 +215,16 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
                     )
                     pair_index += 1
                     continue
-                a = _centered_column(cache, var_a, col_a, ok)
-                b = _centered_column(cache, var_b, col_b, ok)
+                # built once for dcor and the test alike, unless cached
+                a, b = _centered_pair(_centered_column(cache, var_a, col_a, ok),
+                                      _centered_column(cache, var_b, col_b, ok))
                 stats = dcor(a, b)
                 flags = () if stats.pearson is not None else ("degenerate-variance",)
                 p_value = None
                 if config.p_values:
                     seed = _pair_seed(config.seed, gi, pair_index)
+                    # the test reads only samples and row means: a fresh pair's matrices go
+                    a, b = replace(a, entries=None), replace(b, entries=None)
                     p_value = permutation_test(a, b, config.replicates, seed).p_value
                 records.append(
                     PairRecord(

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, UsageError
 from .oracles import QuadratureSpec, _gl_nodes_weights
 
 
@@ -30,9 +30,9 @@ class SingularParams:
 
     def __post_init__(self):
         if self.p < 1:
-            raise ValueError(f"dimension p must be >= 1, got {self.p}")
+            raise UsageError(f"dimension p must be >= 1, got {self.p}")
         if not (0.0 < self.alpha < 2.0):
-            raise ValueError(
+            raise UsageError(
                 f"alpha must lie strictly in (0, 2), got {self.alpha}: the "
                 "Gamma(1 - alpha/2) factor has a pole at alpha = 2 and the "
                 "integral diverges outside the interval"
@@ -50,7 +50,7 @@ class SingularCheck:
 def c_p(p: int) -> float:
     """Weight-normalizing constant pi^{(p+1)/2} / Gamma((p+1)/2)."""
     if p < 1:
-        raise ValueError(f"dimension p must be >= 1, got {p}")
+        raise UsageError(f"dimension p must be >= 1, got {p}")
     return math.exp(0.5 * (p + 1) * math.log(math.pi) - math.lgamma(0.5 * (p + 1)))
 
 
@@ -58,9 +58,9 @@ def c_p(p: int) -> float:
 def singular_constant(p: int, alpha: float) -> float:
     """The constant C(p, alpha) of the singular-integral identity."""
     if p < 1:
-        raise ValueError(f"dimension p must be >= 1, got {p}")
+        raise UsageError(f"dimension p must be >= 1, got {p}")
     if not (0.0 < alpha < 2.0):
-        raise ValueError(
+        raise UsageError(
             f"alpha must lie strictly in (0, 2), got {alpha}: Gamma(1 - alpha/2) "
             "has a pole at alpha = 2 and the integral diverges outside the interval"
         )

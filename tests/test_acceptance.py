@@ -231,3 +231,20 @@ def test_performance_sorted():
     print(f"  sorted N=100000: {elapsed:.2f}s, peak {peak / 2**20:.1f} MiB, "
           f"gap {gap / scale:.1e} of scale, {gap / materialized:.1e} of the value")
     report("performance-sorted", ok)
+
+
+def test_performance_replicates():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=2000)
+    y = np.sin(2 * x) + 0.3 * rng.normal(size=2000)
+    tracemalloc.start()
+    start = time.monotonic()
+    res = permutation_test(x, y, replicates=99, seed=4)
+    elapsed = time.monotonic() - start
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    gap = rel_diff(res.statistic, dcov_sq(x, y))
+    ok = elapsed < 60.0 and peak < DEFAULT_MEMORY_BUDGET and gap <= 1e-12 and res.exceed_count == 0
+    print(f"  permutation test N=2000, B=99: {elapsed:.2f}s, peak {peak / 2**20:.1f} MiB, "
+          f"statistic {gap:.1e} from dcov_sq")
+    report("performance-replicates", ok)

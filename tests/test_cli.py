@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from distcorr import cli
 from distcorr.cli import main
 from distcorr.core import dcor
 
@@ -66,6 +67,31 @@ class TestCompute:
             main(["compute", "--x", x, "--y", y, "--memory-budget", budget])
         assert exc.value.code == 2
         assert "--memory-budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["power", "--scenario", "linear", "--n", "1", "--seed", "1"],
+        ["power", "--scenario", "linear", "--n", "10", "--alpha", "1.5", "--seed", "1"],
+        ["verify", "singular", "--alpha", "2.5", "--x", "1.0"],
+        ["verify", "dcov", "--quad-panels", "1", "--seed", "1"],
+    ],
+)
+def test_invalid_argument_exit_2(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: usage: ")
+
+
+def test_stray_value_error_is_not_a_usage_error(two_point, monkeypatch):
+    # an internal ValueError is a fault of the program, not of the command line
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "dcor", broken)
+    x, y = two_point
+    with pytest.raises(ValueError, match="internal"):
+        main(["compute", "--x", x, "--y", y])
 
 
 @pytest.mark.parametrize("replicates", ["0", "-1"])

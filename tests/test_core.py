@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from distcorr.errors import (
     DimensionMismatchError,
 )
 from distcorr.oracles import dcov_sq_oracle_sums
-from distcorr.samples import _euclidean
+from distcorr.samples import _deviations, _euclidean, _shift_distances
 
 
 def finite_samples(max_n=20, max_dim=3):
@@ -105,6 +106,16 @@ class TestPairwiseDistances:
                 xb = rng.normal(size=(n_b, d)) * rng.uniform(0.01, 100)
                 assert np.array_equal(_euclidean(xa, xb), distance.cdist(xa, xb))
                 assert np.array_equal(_euclidean(xa, xa), distance.cdist(xa, xa))
+
+    def test_shift_kernel_bitwise_equals_euclidean(self):
+        rng = np.random.default_rng(13)
+        for n, dim in ((2, 1), (7, 1), (40, 1), (2, 3), (9, 3), (40, 3)):
+            x = rng.normal(size=(n, dim)) * rng.uniform(0.01, 100) + rng.choice([0.0, 1e8])
+            d, k = _euclidean(x, x), np.arange(n)
+            shifts = _shift_distances(x, 1, n)
+            for s in range(1, n):
+                assert np.array_equal(shifts[s - 1], d[k, (k + s) % n])
+            assert np.array_equal(_shift_distances(x, 2, n // 2 + 1), shifts[1:n // 2])
 
     def test_cli_import_loads_no_scipy(self):
         src = os.path.dirname(os.path.dirname(distcorr.__file__))
@@ -409,6 +420,23 @@ class TestPearson:
             xd, yd = x - x.mean(), y - y.mean()
             plain = float(np.sum(xd * yd)) / (np.sqrt(np.sum(xd * xd)) * np.sqrt(np.sum(yd * yd)))
             assert pearson(x, y) == float(np.clip(plain, -1.0, 1.0))
+
+    def test_sum_beyond_float_range_does_not_overflow(self):
+        # the column's sum overflows float64 unless it is scaled before its mean is taken
+        x, y = [1e308, 1.7e308, -1e308, 0.5e308], [1.0, 2.0, 3.0, 5.0]
+        expected = dcor(x, y).pearson
+        assert expected == pytest.approx(-0.3666, abs=1e-4)
+        assert pearson(x, y) == expected
+
+    def test_deviations_of_ordinary_data_are_unchanged_by_the_scaling(self):
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            v = rng.normal(size=int(rng.integers(2, 40))) * 10.0 ** rng.integers(-200, 200)
+            v += rng.choice([0.0, 3.0 * float(np.abs(v).max())])
+            d, e = _deviations(v)
+            plain = v - v.mean()
+            f = math.frexp(float(np.abs(plain).max()))[1]
+            assert e == f and np.array_equal(d, np.ldexp(plain, -f))
 
     def test_constant_raises(self):
         with pytest.raises(DegenerateVarianceError):

@@ -110,13 +110,54 @@ class TestPermutationTest:
         small = double_center(x, memory_budget=3 * 8 * n)
         assert (small.entries is None) == (n > 3)
         for a, rows in [(double_center(x), n), (small, 3)]:
-            assert abs(inference._permuted_dcov_sq(a, y, perm, rows) - oracle) <= tol
+            blocks = inference._shift_blocks(a, rows, keep=a is not small)
+            assert abs(inference._permuted_dcov_sq(a, blocks, y, perm) - oracle) <= tol
+
+    @given(permuted_pairs(max_n=13))
+    @settings(max_examples=150, deadline=None)
+    def test_shift_layout_agrees_with_oracle_sums(self, case):
+        # n even and odd, every shift block size, C kept and C rebuilt for each replicate
+        x, y, perm = case
+        n = len(x)
+        a = double_center(x)
+        scale = float(np.abs(a.entries * double_center(y[perm]).entries).mean())
+        oracle = dcov_sq_oracle_sums(x, y[perm])
+        for rows in range(1, n // 2 + 1):
+            for keep in (True, False):
+                blocks = inference._shift_blocks(a, rows, keep)
+                value = inference._permuted_dcov_sq(a, blocks, y, perm)
+                assert abs(value - oracle) <= 1e-12 * scale + np.finfo(np.float64).tiny
+
+    def test_shift_layout_is_centered_matrix_over_unordered_pairs(self):
+        for n in (6, 7):
+            a = double_center(np.random.default_rng(n).normal(size=(n, 2)))
+            (_, _, c), = inference._shift_blocks(a, n, keep=True)
+            k = np.arange(n)
+            for s in range(1, n // 2 + 1):
+                weight = 1.0 if 2 * s == n else 2.0
+                assert np.array_equal(c[s - 1], weight * a.entries[k, (k + s) % n])
+
+    def test_tiny_budget_rebuilds_c_for_each_replicate(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        x, y = rng.normal(size=(30, 2)), rng.normal(size=30)
+        expected = permutation_test(x, y, replicates=9, seed=3)
+        calls = []
+        build = inference._centered_shifts
+        monkeypatch.setattr(inference, "_centered_shifts", lambda *a: calls.append(a[1:]) or build(*a))
+        monkeypatch.setattr(inference, "DEFAULT_MEMORY_BUDGET", 1000)
+        res = permutation_test(x, y, replicates=9, seed=3)
+        # one shift per block (15 blocks), rebuilt for the statistic and each replicate
+        assert calls == [(s, s + 1) for s in range(1, 16)] * 10
+        assert res.exceed_count == expected.exceed_count
+        assert res.statistic == pytest.approx(expected.statistic, rel=1e-12)
 
     def test_statistic_is_the_identity_replicate(self, monkeypatch):
         rng = np.random.default_rng(8)
         x, y = rng.normal(size=(40, 3)), rng.normal(size=(40, 1))
         res = permutation_test(x, y, replicates=9, seed=2)
-        assert res.statistic == inference._permuted_dcov_sq(double_center(x), y, np.arange(40), 40)
+        a = double_center(x)
+        blocks = inference._shift_blocks(a, 40, keep=True)
+        assert res.statistic == inference._permuted_dcov_sq(a, blocks, y, np.arange(40))
 
         class Identity:
             def permutation(self, n):
@@ -149,7 +190,8 @@ class TestPermutationTest:
         # unscaled, the products overflow to inf of both signs, and their sum is NaN
         a = double_center(1e160 * x)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DataQualityError, match="NaN"):
-            inference._permuted_dcov_sq(a, 1e160 * y[:, None], np.arange(50), 50)
+            blocks = inference._shift_blocks(a, 50, keep=True)
+            inference._permuted_dcov_sq(a, blocks, 1e160 * y[:, None], np.arange(50))
 
     def test_statistic_matches_dcov_sq(self):
         rng = np.random.default_rng(3)

@@ -7,6 +7,7 @@ import pytest
 from distcorr import core, samples, screening
 from distcorr.core import dcor
 from distcorr.errors import DataFormatError
+from distcorr.inference import permutation_test
 from distcorr.screening import (
     CorrelationTable,
     Dataset,
@@ -208,6 +209,28 @@ class TestPairwiseScreen:
         # g0: a, b, c, d cached; (a, c), (b, c) rebuild a or b at c's rows; (a, d), (b, d)
         # likewise; (c, d) rebuilds both.  g1 has no gaps: one matrix per column.
         assert len(calls) == 4 + 4 + 2 + 4
+
+    def test_p_values_center_each_pair_once(self, monkeypatch):
+        calls = []
+        build = core.double_center
+        monkeypatch.setattr(core, "double_center", lambda *args: calls.append(args) or build(*args))
+        ds = gapped_dataset()
+        plain = pairwise_screen(ds, ScreenConfig(replicates=9, seed=4))
+        without = len(calls)
+        calls.clear()
+        table = pairwise_screen(ds, ScreenConfig(p_values=True, replicates=9, seed=4))
+        # the uncached pairs' objects serve dcor and the test alike
+        assert len(calls) == without == 4 + 4 + 2 + 4
+        for gi, group in enumerate(("g0", "g1")):
+            mask = ds.group_labels == group
+            records = [r for r in table.records if r.group == group]
+            without_p = [u for u in plain.records if u.group == group]
+            for pair_index, (r, u) in enumerate(zip(records, without_p)):
+                assert replace(r, p_value=None) == u
+                a, b = ds.columns[r.var_a][mask], ds.columns[r.var_b][mask]
+                ok = np.isfinite(a) & np.isfinite(b)
+                seed = screening._pair_seed(4, gi, pair_index)
+                assert r.p_value == permutation_test(a[ok], b[ok], 9, seed).p_value
 
     def test_over_budget_builds_per_pair_with_identical_records(self, monkeypatch):
         ds = gapped_dataset()
