@@ -15,8 +15,8 @@ own mirror.  C comes from x's sample and row means alone, never from A's
 entries.  A replicate takes y[perm]'s distances at the same shifts, one strided
 view over y[perm] joined to itself, and their dot product with C: half of the
 n x n entries.  The memory budget covers C and one block of y's shift distances
-with its per-dimension temporary; a C that does not fit is rebuilt in blocks
-for each replicate.
+with its per-dimension temporary, allocated once per test and written over by
+every replicate; a C that does not fit is rebuilt in blocks for each replicate.
 
 Determinism: every replicate b draws its permutation from a generator
 seeded by (seed, b), so replicates can run in any order (or in parallel)
@@ -87,16 +87,29 @@ def _shift_blocks(a: CenteredMatrix, rows: int, keep: bool) -> list:
     return [(s0, s1, _centered_shifts(a, s0, s1) if keep else None) for s0, s1 in spans]
 
 
-def _permuted_dcov_sq(a: CenteredMatrix, blocks: list, y: np.ndarray, perm: np.ndarray) -> float:
+def _workspace(blocks: list, y: np.ndarray) -> tuple:
+    """One block of y's shift distances and, for a multivariate y, its temporary.
+
+    Replicates write into the same two arrays, so a test allocates them once
+    and no replicate faults in fresh pages for them.
+    """
+    rows, n = max(s1 - s0 for s0, s1, _ in blocks), len(y)
+    return np.empty((rows, n)), np.empty((rows, n)) if y.shape[1] > 1 else None
+
+
+def _permuted_dcov_sq(a: CenteredMatrix, blocks: list, y: np.ndarray, perm: np.ndarray,
+                      work: tuple | None = None) -> float:
     """dcov^2(x, y[perm]): C times y[perm]'s shift distances, block by block, over n^2.
 
-    ``blocks`` come from ``_shift_blocks(a, ...)``; a block that is not kept is rebuilt.
+    ``blocks`` come from ``_shift_blocks(a, ...)``; a block that is not kept is
+    rebuilt.  ``work`` is ``_workspace(blocks, y)``, made here if not given.
     """
     yp, n = y[perm], a.n
+    out, tmp = _workspace(blocks, y) if work is None else work
     total = 0.0
     for s0, s1, c in blocks:
         c = _centered_shifts(a, s0, s1) if c is None else c
-        total += float(np.vdot(c, _shift_distances(yp, s0, s1)))
+        total += float(np.vdot(c, _shift_distances(yp, s0, s1, out, tmp)))
     if math.isnan(total):
         raise DataQualityError("a permutation replicate of dcov^2 came out NaN")
     return max(total / (n * n), 0.0)
@@ -131,9 +144,10 @@ def permutation_test(x, y, replicates: int, seed: int) -> TestResult:
     a = replace(_scaled(x, left), entries=None)
     check_same_n(a, ys)
     blocks = _shift_blocks(a, rows, keep)
-    observed = _permuted_dcov_sq(a, blocks, ys.data, np.arange(n))
+    work = _workspace(blocks, ys.data)
+    observed = _permuted_dcov_sq(a, blocks, ys.data, np.arange(n), work)
     exceed = _exceedances(
-        lambda perm: _permuted_dcov_sq(a, blocks, ys.data, perm), observed, n, replicates, seed
+        lambda perm: _permuted_dcov_sq(a, blocks, ys.data, perm, work), observed, n, replicates, seed
     )
     return TestResult(statistic=_unscaled(observed, a.scale + ey), replicates=replicates,
                       exceed_count=exceed, p_value=(1 + exceed) / (1 + replicates), seed=seed)

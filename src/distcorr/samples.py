@@ -133,21 +133,24 @@ def _shifted(z: np.ndarray, s0: int, s1: int) -> np.ndarray:
     return np.ndarray(shape, joined.dtype, joined, s0 * step, strides)
 
 
-def _shift_distances(data: np.ndarray, s0: int, s1: int) -> np.ndarray:
+def _shift_distances(data: np.ndarray, s0: int, s1: int,
+                     out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
     """|z_((k+s) mod n) - z_k| for the shifts s0 <= s < s1: one row of n per shift.
 
     Entry [s - s0, k] equals ``_euclidean(data, data)[k, (k + s) % n]`` bit for
     bit: the same differences, squares, order of dimensions and exact scaling.
+    ``out`` and ``tmp``, arrays of at least s1 - s0 rows of n, take the result
+    and the per-dimension temporary in their first rows instead of new arrays.
     """
     dim = data.shape[1]
     e = _even_exponent(data) if dim > 1 else 0
     z = np.ldexp(data, -e) if e else data
     shifted = _shifted(z, s0, s1)  # [s, j, k] = z_(k+s)j
-    out = np.subtract(shifted[:, 0], z[:, 0])
+    out = np.subtract(shifted[:, 0], z[:, 0], out=None if out is None else out[:s1 - s0])
     if dim == 1:
         return np.abs(out, out=out)
     np.multiply(out, out, out=out)
-    diff = np.empty_like(out)
+    diff = np.empty_like(out) if tmp is None else tmp[:s1 - s0]
     for j in range(1, dim):
         np.subtract(shifted[:, j], z[:, j], out=diff)
         out += np.multiply(diff, diff, out=diff)

@@ -116,6 +116,10 @@ class TestPairwiseDistances:
             for s in range(1, n):
                 assert np.array_equal(shifts[s - 1], d[k, (k + s) % n])
             assert np.array_equal(_shift_distances(x, 2, n // 2 + 1), shifts[1:n // 2])
+            # written into the first rows of larger arrays given to it, bit for bit alike
+            out, tmp = np.full((n, n), np.nan), np.full((n, n), np.nan)
+            got = _shift_distances(x, 1, n // 2 + 1, out, tmp)
+            assert np.shares_memory(got, out) and np.array_equal(got, shifts[:n // 2])
 
     def test_cli_import_loads_no_scipy(self):
         src = os.path.dirname(os.path.dirname(distcorr.__file__))

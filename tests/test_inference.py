@@ -151,6 +151,18 @@ class TestPermutationTest:
         assert res.exceed_count == expected.exceed_count
         assert res.statistic == pytest.approx(expected.statistic, rel=1e-12)
 
+    def test_replicates_share_one_workspace(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        x, y = rng.normal(size=(30, 2)), rng.normal(size=(30, 3))
+        expected = permutation_test(x, y, replicates=9, seed=4)
+        made = []
+        build = inference._workspace
+        monkeypatch.setattr(inference, "_workspace", lambda *a: made.append(build(*a)) or made[-1])
+        res = permutation_test(x, y, replicates=9, seed=4)
+        # y's shift block and its temporary are allocated once, for the statistic and every replicate
+        assert len(made) == 1 and made[0][0].shape == made[0][1].shape == (15, 30)
+        assert res == expected
+
     def test_statistic_is_the_identity_replicate(self, monkeypatch):
         rng = np.random.default_rng(8)
         x, y = rng.normal(size=(40, 3)), rng.normal(size=(40, 1))
