@@ -73,7 +73,7 @@ def _quad_spec(args) -> QuadratureSpec:
 
 
 def _positive_int(text: str) -> int:
-    """A ``--memory-budget`` (bytes) or ``--replicates`` value: a positive whole number."""
+    """A ``--memory-budget`` (bytes), ``--replicates`` or ``verify dcov --n`` value: a positive whole number."""
     try:
         value = int(text)
     except ValueError:
@@ -105,6 +105,8 @@ def cmd_test(args) -> int:
 
 
 def cmd_screen(args) -> int:
+    if not 0.0 <= args.low_dcor_percentile <= 100.0:
+        raise UsageError(f"--low-dcor-percentile must be in [0, 100], got {args.low_dcor_percentile}")
     seed = _resolve_seed(args.seed)
     dataset = load_dataset(
         args.data,
@@ -252,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = p.add_subparsers(dest="verify_what", required=True)
 
     v = vsub.add_parser("dcov", help="Eq.-style estimator vs triple-sum and quadrature oracles")
-    v.add_argument("--n", type=int, default=5)
+    v.add_argument("--n", type=_positive_int, default=5)
     v.add_argument("--seed", type=int, default=None)
     _add_quad_flags(v)
     v.set_defaults(func=cmd_verify_dcov)

@@ -1,16 +1,16 @@
 """Empirical distance covariance/correlation and Pearson correlation.
 
-Each sample gets one ``CenteredMatrix``, its double-centered distance
-matrix, and every statistic is an inner product of two of them, summed
-over blocks of rows.  ``rows_that_fit`` is the one byte rule: a sample
-whose N x N float64 matrix fits its budget is materialized (centered in
-place).  Otherwise a scalar sample takes the sorted form, whose inner
-product with another sorted form costs O(N log N) (``cross_term``), and
-a multivariate one streams, rebuilding blocks of as many rows as fit
-(at most ``STREAM_BLOCK_ROWS``).  ``dcov_sq`` and ``dcor`` give each
-sample half the budget.  ``dcov_sq``, ``dcor``, the permutation test and
-the screen center each sample through ``_scaled``: scaled by a power of
-two so that no spread under- or overflows, and scaled back in results.
+Each sample gets one ``CenteredMatrix``, its double-centered distance matrix
+laid out by shift, and every statistic is one weighted sum over blocks of
+shifts of two of them (``_shift_sum``), as is every permutation replicate.
+``rows_that_fit`` is the one byte rule: a sample whose N x N float64 matrix
+fits its budget is materialized, its shifts stored (half of that matrix).
+Otherwise a scalar sample takes the sorted form, whose inner product with
+another sorted form costs O(N log N) (``cross_term``), and a multivariate
+one streams.  ``dcov_sq`` and ``dcor`` give each sample half the budget,
+and center it through ``_scaled``, as do the permutation test and the
+screen: scaled by a power of two so that no spread under- or overflows,
+and scaled back in results.
 """
 from __future__ import annotations
 
@@ -21,33 +21,38 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataQualityError, DegenerateVarianceError
-from .samples import Sample, as_sample, check_same_n
-from .samples import _euclidean as cdist  # every distance block goes through here
+from .samples import _KERNEL_ROWS, Sample, _shift_distances, _shifted, as_sample, check_same_n
+from .samples import _euclidean as cdist  # the full matrix of pairwise_distances
 
-# Bytes that dcov_sq and dcor may spend on N x N matrices or their row blocks.
+# Bytes that dcov_sq and dcor may spend on N x N matrices or their blocks.
 DEFAULT_MEMORY_BUDGET = 1 << 30  # 1 GiB
 
-# Most rows per block in the streaming path.  Set by the budget and n alone,
+# Most shifts per block in the streaming path.  Set by the budget and n alone,
 # not by scheduling, so results are deterministic.
 STREAM_BLOCK_ROWS = 512
 
 
+def _abs_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(|a * b|), row by row so that it adds O(n) memory."""
+    return sum(float(np.abs(ra * rb).sum()) for ra, rb in zip(a, b))
+
+
 @dataclass(frozen=True, eq=False)
 class CenteredMatrix:
-    """A_kl = a_kl - m_k - m_l + m for one sample's distance matrix a.
+    """A_kl = a_kl - m_k - m_l + m for one sample's distance matrix a, by shift.
 
     m_k are a's row means (its column means too, as a is symmetric) and m
-    is their mean.  ``entries`` is A when materialized, None otherwise.
-    ``order`` sorts a scalar sample in the sorted form, and is None in the
-    other two.  Rows that are not materialized are rebuilt from the sample
-    and the row means.  ``sample`` is the data times 2^-scale, so ``dvar``
-    and ``inner`` are 2^-scale and 2^-(scale + other.scale) times the data's.
+    is their mean.  ``shifts`` is A's shift layout when materialized,
+    [s - 1, k] = A_k,(k+s) mod n for s = 1..n//2, and None otherwise; ``order``
+    sorts a scalar sample in the sorted form, and is None in the other two.
+    ``sample`` is the data times 2^-scale, so ``dvar`` and ``inner`` are
+    2^-scale and 2^-(scale + other.scale) times the data's.
     """
 
     sample: Sample
     row_mean: np.ndarray
     grand_mean: float
-    entries: np.ndarray | None = None
+    shifts: np.ndarray | None = None
     block_rows: int = STREAM_BLOCK_ROWS
     order: np.ndarray | None = None
     scale: int = 0
@@ -61,20 +66,29 @@ class CenteredMatrix:
         """Distance variance dVar: the square root of the inner product with itself."""
         return float(np.sqrt(self.inner(self)))
 
-    def _rows(self, i0: int, i1: int) -> np.ndarray:
-        if self.entries is not None:
-            return self.entries[i0:i1]
-        d = cdist(self.sample.data[i0:i1], self.sample.data)
-        return _center(d, self.row_mean[i0:i1], self.row_mean, self.grand_mean)
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """A_kk = m - 2 m_k, as a_kk = 0."""
+        return self.grand_mean - 2.0 * self.row_mean
 
-    def _blockwise(self, other: CenteredMatrix, term) -> float:
-        """Sum of term(rows of A, same rows of B) over row blocks."""
-        total, step = 0.0, min(self.block_rows, other.block_rows)
-        for i0 in range(0, self.n, step):
-            a = self._rows(i0, i0 + step)
-            total += term(a, a if other is self else other._rows(i0, i0 + step))
-            del a  # so that at most one block per side is alive at a time
-        return total
+    def _shift_rows(self, s0: int, s1: int) -> np.ndarray:
+        return _centered_shifts(self, s0, s1) if self.shifts is None else self.shifts[s0 - 1:s1 - 1]
+
+    def _shift_sum(self, rows, step: int, term=np.vdot) -> float:
+        """sum_s w_s term(A's row of shift s, the other's) over s = 1..n//2, in blocks of ``step``.
+
+        ``rows(s0, s1)`` gives the other's rows for s0 <= s < s1 (None: A's).  w_s = 2
+        counts the mirror shift n - s too, but s = n/2 is its own.
+        """
+        total, n, h = 0.0, self.n, self.n // 2
+        for s0 in range(1, h + 1, step):
+            s1 = min(s0 + step, h + 1)
+            a = self._shift_rows(s0, s1)
+            b = a if rows is None else rows(s0, s1)
+            m = max(0, min(s1, (n + 1) // 2) - s0)  # shifts below n/2
+            total += 2.0 * term(a[:m], b[:m]) + term(a[m:], b[m:])
+            del a, b  # so that at most one block per side is alive at a time
+        return float(total)
 
     def _sorted_terms(self, other: CenteredMatrix) -> tuple[float, float]:
         """sum(A * B) / n^2 of two sorted forms, and the sum of its three terms' magnitudes.
@@ -96,18 +110,19 @@ class CenteredMatrix:
         """Squared distance covariance sum(A * B) / n^2, checked against a scale.
 
         Two sorted forms take ``cross_term``, with the sum of the three
-        terms' magnitudes as the scale.  Any other pair sums blocks of rows,
-        with sum(|A * B|) / n^2 as the scale.
+        terms' magnitudes as the scale.  Any other pair takes the weighted
+        shift sum plus the diagonal's, with sum(|A * B|) / n^2 as the scale.
         """
         nn = check_same_n(self, other) ** 2
         if self.order is not None and other.order is not None:
             total, scale = self._sorted_terms(other)
         else:
-            total = self._blockwise(other, lambda a, b: float(np.vdot(a, b))) / nn
-            if total < 0.0:  # only a negative sum needs the scale; row by row it adds O(n) memory
-                scale = self._blockwise(
-                    other, lambda a, b: sum(float(np.abs(ra * rb).sum()) for ra, rb in zip(a, b))
-                ) / nn
+            rows = None if other is self else other._shift_rows
+            step = min(self.block_rows, other.block_rows)
+            total = (self._shift_sum(rows, step) + float(np.dot(self.diagonal, other.diagonal))) / nn
+            if total < 0.0:  # only a negative sum needs the scale
+                scale = (self._shift_sum(rows, step, _abs_dot)
+                         + _abs_dot(self.diagonal[None], other.diagonal[None])) / nn
         if total >= 0.0:
             return total
         if math.isnan(total) or total < -1e-12 * max(scale, 1.0):
@@ -136,12 +151,43 @@ def pairwise_distances(x) -> np.ndarray:
     return cdist(s.data, s.data)
 
 
-def _center(d: np.ndarray, row_block: np.ndarray, row: np.ndarray, grand: float) -> np.ndarray:
-    """Center rows of a distance matrix in place, given their means and all row means."""
-    d -= row_block[:, None]
-    d -= row[None, :]
-    d += grand
-    return d
+def _center(c: np.ndarray, row: np.ndarray, s0: int, grand: float) -> np.ndarray:
+    """Center the shift layout's rows for shifts s0.. in place: a_k,k+s - m_k - m_k+s + m."""
+    c -= row
+    c -= _shifted(row, s0, s0 + len(c))
+    c += grand
+    return c
+
+
+def _centered_shifts(a: CenteredMatrix, s0: int, s1: int) -> np.ndarray:
+    """A's shift layout for the shifts s0 <= s < s1, rebuilt from a's sample and row means."""
+    return _center(_shift_distances(a.sample.data, s0, s1), a.row_mean, s0, a.grand_mean)
+
+
+def _built(s: Sample, block_rows: int, store: bool) -> CenteredMatrix:
+    """A sample's CenteredMatrix from one pass over its shift distances, stored if ``store``.
+
+    Row k's sum takes the pairs (k, k + s) of each block, its column sums,
+    and the pairs (k - s, k) but for s = n/2, its mirrored sums.
+    """
+    n, h = s.n, s.n // 2
+    step = min(block_rows, _KERNEL_ROWS)  # the doubled copy is a temporary block too
+    shifts = np.empty((h, n)) if store else None
+    sums = np.zeros(n)
+    for s0 in range(1, h + 1, step):
+        s1 = min(s0 + step, h + 1)
+        d = _shift_distances(s.data, s0, s1, None if shifts is None else shifts[s0 - 1:])
+        sums += d.sum(axis=0)
+        twice = np.concatenate((d, d), axis=1)
+        # [i, k] = twice[i, n - s + k] = d[i, (k - s) % n] for s = s0 + i below n/2
+        sums += np.ndarray((max(0, min(s1, (n + 1) // 2) - s0), n), d.dtype, twice,
+                           (n - s0) * d.itemsize, (twice.strides[0] - d.itemsize, d.itemsize)).sum(axis=0)
+        del d, twice
+    row = sums / n
+    grand = float(row.mean())
+    if store:
+        _center(shifts, row, 1, grand)
+    return CenteredMatrix(s, row, grand, shifts=shifts, block_rows=block_rows)
 
 
 def rows_that_fit(n: int, memory_budget: int) -> int:
@@ -150,30 +196,19 @@ def rows_that_fit(n: int, memory_budget: int) -> int:
 
 
 def double_center(x, memory_budget: int | None = None) -> CenteredMatrix:
-    """The CenteredMatrix of a sample, materialized if it fits ``memory_budget`` bytes.
+    """The CenteredMatrix of a sample, materialized if its N x N matrix fits ``memory_budget`` bytes.
 
-    With no budget it is always materialized.  Otherwise a matrix that does
-    not fit takes the sorted form if the sample is scalar and streams if
-    not.  Rows rebuilt from either come in blocks of as many rows as fit
-    (at least one, at most ``STREAM_BLOCK_ROWS``).  The sample is taken as
-    it is, with scale 0.
+    With no budget it is always materialized.  Otherwise the sample takes
+    the sorted form if scalar and streams if not, in blocks of as many
+    shifts as rows fit (at least one, at most ``STREAM_BLOCK_ROWS``).  The
+    sample is taken as it is, with scale 0.
     """
     s = as_sample(x)
     rows = s.n if memory_budget is None else rows_that_fit(s.n, memory_budget)
     if rows < s.n:
         block_rows = max(1, min(rows, STREAM_BLOCK_ROWS))
-        return _sorted(s, block_rows) if s.is_scalar else _streaming(s, block_rows)
-    d = pairwise_distances(s)
-    row = d.mean(axis=1)
-    grand = float(row.mean())
-    return CenteredMatrix(s, row, grand, entries=_center(d, row, row, grand), block_rows=s.n)
-
-
-def _streaming(s: Sample, block_rows: int) -> CenteredMatrix:
-    row = np.empty(s.n)
-    for i0 in range(0, s.n, block_rows):
-        row[i0:i0 + block_rows] = cdist(s.data[i0:i0 + block_rows], s.data).mean(axis=1)
-    return CenteredMatrix(s, row, float(row.mean()), block_rows=block_rows)
+        return _sorted(s, block_rows) if s.is_scalar else _built(s, block_rows, store=False)
+    return _built(s, s.n, store=True)
 
 
 def _sorted(s: Sample, block_rows: int) -> CenteredMatrix:
@@ -271,9 +306,9 @@ def dcov_sq_streaming(x, y, block_rows: int = STREAM_BLOCK_ROWS) -> float:
     """Squared empirical distance covariance in O(block * N) memory.
 
     Pass 1 finds the row means of both distance matrices; pass 2 rebuilds
-    centered rows blockwise and accumulates sum(A_kl * B_kl).
+    centered shifts blockwise and accumulates the weighted sum(A_kl * B_kl).
     """
-    return _streaming(as_sample(x), block_rows).inner(_streaming(as_sample(y), block_rows))
+    return _built(as_sample(x), block_rows, False).inner(_built(as_sample(y), block_rows, False))
 
 
 def dcov_sq(x, y, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> float:

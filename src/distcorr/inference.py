@@ -6,17 +6,10 @@ invariant, so both statistics induce the same p-value, and the covariance
 avoids the degenerate-denominator branch entirely.
 
 x's centered matrix A has rows and columns that sum to zero, so sum(A * B^perm) =
-sum_kl A_kl |y_perm(k) - y_perm(l)|: every replicate needs A and y's raw distances.
-Both are symmetric with a zero diagonal, so the sum runs over unordered pairs,
-laid out by shift: pair (k, (k + s) mod n) for s = 1..n//2 and every k.  A is
-stored once per test in that layout, C[s - 1, k] = w_s A_k,(k+s) mod n, where
-w_s = 2 counts shift n - s too, except for s = n/2 (n even), which covers its
-own mirror.  C comes from x's sample and row means alone, never from A's
-entries.  A replicate takes y[perm]'s distances at the same shifts, one strided
-view over y[perm] joined to itself, and their dot product with C: half of the
-n x n entries.  The memory budget covers C and one block of y's shift distances
-with its per-dimension temporary, allocated once per test and written over by
-every replicate; a C that does not fit is rebuilt in blocks for each replicate.
+sum_kl A_kl |y_perm(k) - y_perm(l)|.  So a replicate is the weighted shift sum
+that ``inner`` takes, of A against y[perm]'s distances at the same shifts (one
+strided view over y[perm] joined to itself), and no diagonal term: half of the
+n x n entries.
 
 Determinism: every replicate b draws its permutation from a generator
 seeded by (seed, b), so replicates can run in any order (or in parallel)
@@ -30,9 +23,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import DEFAULT_MEMORY_BUDGET, STREAM_BLOCK_ROWS, CenteredMatrix, rows_that_fit
-from .core import _scaled, _unit, _unscaled
+from .core import _centered_shifts, _scaled, _unit, _unscaled
 from .errors import DataQualityError, UsageError
-from .samples import _shift_distances, _shifted, as_sample, check_same_n
+from .samples import _shift_distances, as_sample, check_same_n
 
 
 @dataclass(frozen=True)
@@ -66,50 +59,20 @@ def _exceedances(statistic, observed: float, n: int, replicates: int, seed: int)
     return sum(statistic(perm) >= observed for perm in perms)
 
 
-def _centered_shifts(a: CenteredMatrix, s0: int, s1: int) -> np.ndarray:
-    """C's rows for the shifts s0 <= s < s1: w_s A_k,(k+s) mod n, from a's sample and row means.
+def _workspace(rows: int, y: np.ndarray) -> tuple:
+    """One block of ``rows`` shifts of y's distances and, for a multivariate y, its temporary.
 
-    Centered in the order of ``core._center``, so each entry is w_s times A's bit for bit.
+    Every replicate writes into them, so that none faults in fresh pages.
     """
-    n, m = a.n, a.row_mean
-    c = _shift_distances(a.sample.data, s0, s1)
-    c -= m
-    c -= _shifted(m, s0, s1)
-    c += a.grand_mean
-    c[:max(0, (n + 1) // 2 - s0)] *= 2.0  # every shift below n/2 stands for its mirror n - s too
-    return c
+    return np.empty((rows, len(y))), np.empty((rows, len(y))) if y.shape[1] > 1 else None
 
 
-def _shift_blocks(a: CenteredMatrix, rows: int, keep: bool) -> list:
-    """(s0, s1, C's rows) for blocks of ``rows`` shifts over s = 1..n//2, rows None unless kept."""
-    h = a.n // 2
-    spans = [(s0, min(s0 + rows, h + 1)) for s0 in range(1, h + 1, rows)]
-    return [(s0, s1, _centered_shifts(a, s0, s1) if keep else None) for s0, s1 in spans]
-
-
-def _workspace(blocks: list, y: np.ndarray) -> tuple:
-    """One block of y's shift distances and, for a multivariate y, its temporary.
-
-    Replicates write into the same two arrays, so a test allocates them once
-    and no replicate faults in fresh pages for them.
-    """
-    rows, n = max(s1 - s0 for s0, s1, _ in blocks), len(y)
-    return np.empty((rows, n)), np.empty((rows, n)) if y.shape[1] > 1 else None
-
-
-def _permuted_dcov_sq(a: CenteredMatrix, blocks: list, y: np.ndarray, perm: np.ndarray,
+def _permuted_dcov_sq(a: CenteredMatrix, y: np.ndarray, perm: np.ndarray, rows: int,
                       work: tuple | None = None) -> float:
-    """dcov^2(x, y[perm]): C times y[perm]'s shift distances, block by block, over n^2.
-
-    ``blocks`` come from ``_shift_blocks(a, ...)``; a block that is not kept is
-    rebuilt.  ``work`` is ``_workspace(blocks, y)``, made here if not given.
-    """
+    """dcov^2(x, y[perm]) in blocks of ``rows`` shifts; ``work`` is ``_workspace(rows, y)``."""
     yp, n = y[perm], a.n
-    out, tmp = _workspace(blocks, y) if work is None else work
-    total = 0.0
-    for s0, s1, c in blocks:
-        c = _centered_shifts(a, s0, s1) if c is None else c
-        total += float(np.vdot(c, _shift_distances(yp, s0, s1, out, tmp)))
+    out, tmp = _workspace(min(rows, n // 2), y) if work is None else work
+    total = a._shift_sum(lambda s0, s1: _shift_distances(yp, s0, s1, out, tmp), rows)
     if math.isnan(total):
         raise DataQualityError("a permutation replicate of dcov^2 came out NaN")
     return max(total / (n * n), 0.0)
@@ -119,12 +82,10 @@ def permutation_test(x, y, replicates: int, seed: int) -> TestResult:
     """Independence test: permute y's rows, recompute dcov^2, count exceedances.
 
     x and y are samples or their CenteredMatrix objects from ``_scaled``.  The
-    memory budget covers C, x's centered matrix over unordered pairs, and one
-    block of shifts of y's (scaled) distances with its temporary.  A C that
-    does not fit next to that block is rebuilt per replicate, in blocks of as
-    many shifts.  A raw x's A is materialized only where it fits in C's place,
-    and goes before C is built; otherwise x streams or takes the sorted form.
-    The observed statistic is the identity's replicate, so ties compare equal.
+    memory budget covers A's shift layout and one block of shifts of y's
+    (scaled) distances with its temporary.  A layout that does not fit next
+    to it is rebuilt per replicate.  The observed statistic is the
+    identity's replicate, so ties compare equal.
 
     p-value uses the add-one formula (1 + #{perm >= observed}) / (1 + B),
     so it is never exactly 0; ties count as exceedances (conservative).
@@ -136,18 +97,17 @@ def permutation_test(x, y, replicates: int, seed: int) -> TestResult:
         raise DataQualityError("permutation test requires at least 1 replicate")
     n, h = ys.n, ys.n // 2
     # a block of shifts of y's distances and its temporary take 16 n bytes per shift,
-    # and a rebuilt block of C as much: at most half of the budget each
+    # and a rebuilt block of A's shift layout as much: at most half of the budget each
     rows = min(h, STREAM_BLOCK_ROWS, max(1, rows_that_fit(n, DEFAULT_MEMORY_BUDGET // 4)))
     left = DEFAULT_MEMORY_BUDGET - 16 * n * rows
-    keep = 8 * n * h <= left
-    # C reads only the sample and row means: a raw x's materialized A goes before C is built
-    a = replace(_scaled(x, left), entries=None)
+    a = _scaled(x, left)
     check_same_n(a, ys)
-    blocks = _shift_blocks(a, rows, keep)
-    work = _workspace(blocks, ys.data)
-    observed = _permuted_dcov_sq(a, blocks, ys.data, np.arange(n), work)
+    if a.shifts is None and 8 * n * h <= left:  # the layout fits next to y's block: built once
+        a = replace(a, shifts=_centered_shifts(a, 1, h + 1))
+    work = _workspace(rows, ys.data)
+    observed = _permuted_dcov_sq(a, ys.data, np.arange(n), rows, work)
     exceed = _exceedances(
-        lambda perm: _permuted_dcov_sq(a, blocks, ys.data, perm, work), observed, n, replicates, seed
+        lambda perm: _permuted_dcov_sq(a, ys.data, perm, rows, work), observed, n, replicates, seed
     )
     return TestResult(statistic=_unscaled(observed, a.scale + ey), replicates=replicates,
                       exceed_count=exceed, p_value=(1 + exceed) / (1 + replicates), seed=seed)

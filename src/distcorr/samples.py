@@ -139,8 +139,9 @@ def _shift_distances(data: np.ndarray, s0: int, s1: int,
 
     Entry [s - s0, k] equals ``_euclidean(data, data)[k, (k + s) % n]`` bit for
     bit: the same differences, squares, order of dimensions and exact scaling.
-    ``out`` and ``tmp``, arrays of at least s1 - s0 rows of n, take the result
-    and the per-dimension temporary in their first rows instead of new arrays.
+    ``out``, of at least s1 - s0 rows of n, takes the result in its first rows.
+    A multivariate sample's per-dimension temporary ``tmp`` covers as many
+    shifts at a time as it has rows (``_KERNEL_ROWS`` if made here).
     """
     dim = data.shape[1]
     e = _even_exponent(data) if dim > 1 else 0
@@ -150,8 +151,11 @@ def _shift_distances(data: np.ndarray, s0: int, s1: int,
     if dim == 1:
         return np.abs(out, out=out)
     np.multiply(out, out, out=out)
-    diff = np.empty_like(out) if tmp is None else tmp[:s1 - s0]
-    for j in range(1, dim):
-        np.subtract(shifted[:, j], z[:, j], out=diff)
-        out += np.multiply(diff, diff, out=diff)
+    tmp = np.empty((min(_KERNEL_ROWS, max(s1 - s0, 1)), len(z))) if tmp is None else tmp
+    for i0 in range(0, s1 - s0, len(tmp)):
+        rows = slice(i0, i0 + len(tmp))
+        diff = tmp[:len(out[rows])]
+        for j in range(1, dim):
+            np.subtract(shifted[rows, j], z[:, j], out=diff)
+            out[rows] += np.multiply(diff, diff, out=diff)
     return np.ldexp(np.sqrt(out, out=out), e, out=out)

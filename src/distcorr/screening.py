@@ -196,9 +196,9 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
             )
             continue
         usable_groups += 1
-        # One centered matrix per column, kept while the group's columns fit the
-        # budget next to one pair's two fresh matrices (a permutation test holds
-        # half of one, over unordered pairs, and a block of y's distances).
+        # One centered matrix per column, kept while K + 2 n x n matrices fit the
+        # budget: each column stores half of one, which leaves room for one
+        # uncached pair's two and a permutation test's block of y's distances.
         cache = {} if rows_that_fit(rows, DEFAULT_MEMORY_BUDGET) >= (len(names) + 2) * rows else None
         pair_index = 0
         for i in range(len(names)):
@@ -223,8 +223,6 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
                 p_value = None
                 if config.p_values:
                     seed = _pair_seed(config.seed, gi, pair_index)
-                    # the test reads only samples and row means: a fresh pair's matrices go
-                    a, b = replace(a, entries=None), replace(b, entries=None)
                     p_value = permutation_test(a, b, config.replicates, seed).p_value
                 records.append(
                     PairRecord(

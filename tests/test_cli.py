@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -70,17 +71,28 @@ class TestCompute:
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, error",
     [
-        ["power", "--scenario", "linear", "--n", "1", "--seed", "1"],
-        ["power", "--scenario", "linear", "--n", "10", "--alpha", "1.5", "--seed", "1"],
-        ["verify", "singular", "--alpha", "2.5", "--x", "1.0"],
-        ["verify", "dcov", "--quad-panels", "1", "--seed", "1"],
+        (["power", "--scenario", "linear", "--n", "1", "--seed", "1"], "^error: usage: "),
+        (["power", "--scenario", "linear", "--n", "10", "--alpha", "1.5", "--seed", "1"], "^error: usage: "),
+        (["verify", "singular", "--alpha", "2.5", "--x", "1.0"], "^error: usage: "),
+        (["verify", "dcov", "--quad-panels", "1", "--seed", "1"], "^error: usage: "),
+        # checked before the data file is read: it does not exist
+        (["screen", "--data", "missing.csv", "--out", "unused.csv", "--low-dcor-percentile", "150"],
+         "^error: usage: --low-dcor-percentile must be in \\[0, 100\\], got 150"),
+        # argparse rejects these, naming the flag
+        (["verify", "dcov", "--n", "-1", "--seed", "1"], "error: argument --n: must be a positive"),
+        (["verify", "dcov", "--n", "0", "--seed", "1"], "error: argument --n: must be a positive"),
     ],
+    ids=[f"argv{i}" for i in range(7)],
 )
-def test_invalid_argument_exit_2(capsys, argv):
-    assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: usage: ")
+def test_invalid_argument_exit_2(capsys, argv, error):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert re.search(error, capsys.readouterr().err)
 
 
 def test_stray_value_error_is_not_a_usage_error(two_point, monkeypatch):

@@ -30,6 +30,8 @@ from distcorr.errors import (
 from distcorr.oracles import dcov_sq_oracle_sums
 from distcorr.samples import _deviations, _euclidean, _shift_distances
 
+from centered import dense
+
 
 def finite_samples(max_n=20, max_dim=3):
     return st.integers(2, max_n).flatmap(
@@ -142,11 +144,12 @@ class TestPairwiseDistances:
 class TestDoubleCenter:
     def test_zero_matrix(self):
         c = double_center([[0.0], [0.0]])
-        assert np.all(c.entries == 0.0)
+        assert np.all(dense(c) == 0.0)
 
     def test_hand_two_point(self):
         c = double_center([[0.0], [3.0]])
-        assert np.allclose(c.entries, [[-1.5, 1.5], [1.5, -1.5]], atol=1e-15)
+        assert np.allclose(dense(c), [[-1.5, 1.5], [1.5, -1.5]], atol=1e-15)
+        assert c.shifts.tolist() == [[1.5, 1.5]]
         assert c.row_mean.tolist() == [1.5, 1.5]
         assert c.grand_mean == 1.5
 
@@ -156,8 +159,8 @@ class TestDoubleCenter:
         d = pairwise_distances(x)
         c = double_center(x)
         tol = 1e-9 * len(d) * max(d.max(), 1.0)
-        assert np.all(np.abs(c.entries.sum(axis=0)) <= tol)
-        assert np.all(np.abs(c.entries.sum(axis=1)) <= tol)
+        assert np.all(np.abs(dense(c).sum(axis=0)) <= tol)
+        assert np.all(np.abs(dense(c).sum(axis=1)) <= tol)
 
 
 class TestDcovSq:
@@ -196,7 +199,7 @@ class TestDcovSq:
     def test_paths_agree_with_oracle_sums(self, pair):
         x, y = pair
         a, b = double_center(x), double_center(y)
-        scale = float(np.abs(a.entries * b.entries).mean())
+        scale = float(np.abs(dense(a) * dense(b)).mean())
         oracle = dcov_sq_oracle_sums(x, y)
         # below the smallest normal float64 there is no relative precision left
         tol = 1e-12 * scale + np.finfo(np.float64).tiny
@@ -208,7 +211,7 @@ class TestDcovSq:
     def test_sorted_path_agrees_with_oracle_sums(self, pair):
         x, y = pair
         a, b = double_center(x), double_center(y)
-        scale = float(np.abs(a.entries * b.entries).mean())
+        scale = float(np.abs(dense(a) * dense(b)).mean())
         # a budget of 8 bytes leaves no room for a row: both sides take the sorted form
         value = dcov_sq(x, y, memory_budget=8)
         assert abs(value - dcov_sq_oracle_sums(x, y)) <= 1e-12 * scale + np.finfo(np.float64).tiny
@@ -218,8 +221,8 @@ class TestDcovSq:
         for n in (4, 7, 150):  # blocks of 3 rows
             x, y = rng.normal(size=(n, 1)) + 1e3, rng.normal(size=(n, 3))
             a, b = double_center(x, memory_budget=3 * 8 * n), double_center(y, memory_budget=3 * 8 * n)
-            assert a.order is not None and a.entries is None
-            assert b.order is None and b.entries is None
+            assert a.order is not None and a.shifts is None
+            assert b.order is None and b.shifts is None
             expected = dcov_sq_materialized(x, y)
             for value in (a.inner(b), b.inner(a)):
                 assert abs(value - expected) <= 1e-12 * max(expected, 1e-300)
@@ -299,11 +302,13 @@ class TestInner:
         a = double_center(x)
         # a budget of three rows per block
         left = double_center(x, memory_budget=3 * 8 * 40) if streaming_self else a
-        assert (left.entries is None) == streaming_self
-        flipped = CenteredMatrix(a.sample, a.row_mean, a.grand_mean, entries=-a.entries)
+        assert (left.shifts is None) == streaming_self
+        # -A: its shifts and its diagonal m - 2 m_k negated
+        flipped = CenteredMatrix(a.sample, -a.row_mean, -a.grand_mean, shifts=-a.shifts)
+        assert np.array_equal(dense(flipped), -dense(a))
         with pytest.raises(DataQualityError, match="significantly negative"):
             left.inner(flipped)
-        tiny = CenteredMatrix(a.sample, a.row_mean, a.grand_mean, entries=-1e-20 * a.entries)
+        tiny = CenteredMatrix(a.sample, -1e-20 * a.row_mean, -1e-20 * a.grand_mean, shifts=-1e-20 * a.shifts)
         assert left.inner(tiny) == 0.0
 
     def test_nan_sum_raises(self):

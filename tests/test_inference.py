@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from distcorr import inference
+from distcorr import core, inference
 from distcorr.core import dcov_sq, double_center
 from distcorr.errors import DataQualityError
 from distcorr.inference import permutation_test, power_simulation
 from distcorr.oracles import dcov_sq_oracle_sums
+from distcorr.samples import _euclidean
+
+from centered import dense
 
 
 @st.composite
@@ -38,7 +42,7 @@ def gather_exceedances(x, y, replicates, seed):
     for rep in range(1, replicates + 1):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
         perm = rng.permutation(n)
-        count += float(np.vdot(a.entries, b.entries[np.ix_(perm, perm)])) / (n * n) >= observed
+        count += float(np.vdot(dense(a), dense(b)[np.ix_(perm, perm)])) / (n * n) >= observed
     return count
 
 
@@ -103,15 +107,14 @@ class TestPermutationTest:
     def test_replicates_agree_with_oracle_sums(self, case):
         x, y, perm = case
         n = len(x)
-        scale = float(np.abs(double_center(x).entries * double_center(y[perm]).entries).mean())
+        scale = float(np.abs(dense(double_center(x)) * dense(double_center(y[perm]))).mean())
         tol = 1e-12 * scale + np.finfo(np.float64).tiny
         oracle = dcov_sq_oracle_sums(x, y[perm])
         # materialized, and three rows per block: streaming for 3-D x, sorted for scalar x
         small = double_center(x, memory_budget=3 * 8 * n)
-        assert (small.entries is None) == (n > 3)
+        assert (small.shifts is None) == (n > 3)
         for a, rows in [(double_center(x), n), (small, 3)]:
-            blocks = inference._shift_blocks(a, rows, keep=a is not small)
-            assert abs(inference._permuted_dcov_sq(a, blocks, y, perm) - oracle) <= tol
+            assert abs(inference._permuted_dcov_sq(a, y, perm, rows) - oracle) <= tol
 
     @given(permuted_pairs(max_n=13))
     @settings(max_examples=150, deadline=None)
@@ -120,30 +123,34 @@ class TestPermutationTest:
         x, y, perm = case
         n = len(x)
         a = double_center(x)
-        scale = float(np.abs(a.entries * double_center(y[perm]).entries).mean())
+        scale = float(np.abs(dense(a) * dense(double_center(y[perm]))).mean())
         oracle = dcov_sq_oracle_sums(x, y[perm])
         for rows in range(1, n // 2 + 1):
-            for keep in (True, False):
-                blocks = inference._shift_blocks(a, rows, keep)
-                value = inference._permuted_dcov_sq(a, blocks, y, perm)
+            for kept in (a, replace(a, shifts=None)):
+                value = inference._permuted_dcov_sq(kept, y, perm, rows)
                 assert abs(value - oracle) <= 1e-12 * scale + np.finfo(np.float64).tiny
 
     def test_shift_layout_is_centered_matrix_over_unordered_pairs(self):
         for n in (6, 7):
-            a = double_center(np.random.default_rng(n).normal(size=(n, 2)))
-            (_, _, c), = inference._shift_blocks(a, n, keep=True)
+            x = np.random.default_rng(n).normal(size=(n, 2))
+            a = double_center(x)
+            d = _euclidean(x, x)
+            assert np.allclose(a.row_mean, d.mean(axis=1), rtol=1e-15, atol=0.0)
+            # the n x n matrix centered in core._center's order, with the same row means
+            full = d - a.row_mean[:, None] - a.row_mean[None, :] + a.grand_mean
+            rebuilt = core._centered_shifts(a, 1, n // 2 + 1)
             k = np.arange(n)
             for s in range(1, n // 2 + 1):
-                weight = 1.0 if 2 * s == n else 2.0
-                assert np.array_equal(c[s - 1], weight * a.entries[k, (k + s) % n])
+                assert np.array_equal(a.shifts[s - 1], full[k, (k + s) % n])
+                assert np.array_equal(rebuilt[s - 1], full[k, (k + s) % n])
 
     def test_tiny_budget_rebuilds_c_for_each_replicate(self, monkeypatch):
         rng = np.random.default_rng(9)
         x, y = rng.normal(size=(30, 2)), rng.normal(size=30)
         expected = permutation_test(x, y, replicates=9, seed=3)
         calls = []
-        build = inference._centered_shifts
-        monkeypatch.setattr(inference, "_centered_shifts", lambda *a: calls.append(a[1:]) or build(*a))
+        build = core._centered_shifts
+        monkeypatch.setattr(core, "_centered_shifts", lambda *a: calls.append(a[1:]) or build(*a))
         monkeypatch.setattr(inference, "DEFAULT_MEMORY_BUDGET", 1000)
         res = permutation_test(x, y, replicates=9, seed=3)
         # one shift per block (15 blocks), rebuilt for the statistic and each replicate
@@ -168,8 +175,7 @@ class TestPermutationTest:
         x, y = rng.normal(size=(40, 3)), rng.normal(size=(40, 1))
         res = permutation_test(x, y, replicates=9, seed=2)
         a = double_center(x)
-        blocks = inference._shift_blocks(a, 40, keep=True)
-        assert res.statistic == inference._permuted_dcov_sq(a, blocks, y, np.arange(40))
+        assert res.statistic == inference._permuted_dcov_sq(a, y, np.arange(40), 40)
 
         class Identity:
             def permutation(self, n):
@@ -202,8 +208,7 @@ class TestPermutationTest:
         # unscaled, the products overflow to inf of both signs, and their sum is NaN
         a = double_center(1e160 * x)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DataQualityError, match="NaN"):
-            blocks = inference._shift_blocks(a, 50, keep=True)
-            inference._permuted_dcov_sq(a, blocks, 1e160 * y[:, None], np.arange(50))
+            inference._permuted_dcov_sq(a, 1e160 * y[:, None], np.arange(50), 50)
 
     def test_statistic_matches_dcov_sq(self):
         rng = np.random.default_rng(3)

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -29,3 +30,35 @@ def test_screen_synthetic_runs(tmp_path):
     assert out.returncode == 0, out.stderr
     # columns u, usq and noise0: three pairs in each of two groups
     assert out.stdout.splitlines()[0] == f"wrote 6 records to {table}"
+
+
+TRACED_RUN = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import distcorr.cli
+from tracing import Recorder
+recorder = Recorder()
+recorder.install()
+x, y = sys.argv[2:4]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [distcorr.cli.main(["compute", "--x", x, "--y", y]),
+             distcorr.cli.main(["test", "--x", x, "--y", y, "--replicates", "9", "--seed", "1"])]
+print(json.dumps({"codes": codes, "layers": recorder.layer_metrics()}))
+"""
+
+
+def test_perfbench_tracer_finds_the_traced_names(tmp_path):
+    # the tracer wraps core.cdist and the public functions by name: a rename blinds it silently
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    x.write_text("x\n" + "".join(f"{v}\n" for v in (0.0, 1.0, 3.0, 2.0, 5.0)))
+    y.write_text("y\n" + "".join(f"{v}\n" for v in (1.0, 0.0, 4.0, 4.0, 2.0)))
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(ROOT / "perfbench"), str(x), str(y)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    assert result["codes"] == [0, 0]
+    assert result["layers"]["core.dcor.calls"] >= 1
+    assert result["layers"]["inference.permutation_test.calls"] >= 1
