@@ -73,7 +73,7 @@ def _quad_spec(args) -> QuadratureSpec:
 
 
 def _positive_int(text: str) -> int:
-    """A ``--memory-budget`` (bytes), ``--replicates`` or ``verify dcov --n`` value: a positive whole number."""
+    """A positive whole number: ``--memory-budget`` (bytes), ``--replicates`` or ``verify dcov --n``."""
     try:
         value = int(text)
     except ValueError:

@@ -122,7 +122,7 @@ class CenteredMatrix:
             total = (self._shift_sum(rows, step) + float(np.dot(self.diagonal, other.diagonal))) / nn
             if total < 0.0:  # only a negative sum needs the scale
                 scale = (self._shift_sum(rows, step, _abs_dot)
-                         + _abs_dot(self.diagonal[None], other.diagonal[None])) / nn
+                         + float(np.abs(self.diagonal * other.diagonal).sum())) / nn
         if total >= 0.0:
             return total
         if math.isnan(total) or total < -1e-12 * max(scale, 1.0):

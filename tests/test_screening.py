@@ -199,7 +199,9 @@ class TestPairwiseScreen:
     def test_one_distance_matrix_per_column_and_group(self, monkeypatch):
         calls = []
         kernel = core._shift_distances  # one call per block of shifts: a single block at 40 rows
-        monkeypatch.setattr(core, "_shift_distances", lambda data, *a: calls.append(len(data)) or kernel(data, *a))
+        monkeypatch.setattr(
+            core, "_shift_distances", lambda data, *a: calls.append(len(data)) or kernel(data, *a)
+        )
         ds = gapped_dataset()
         full = {"a": ds.columns["a"], "b": ds.columns["b"], "e": ds.columns["a"] + 1.0}
         pairwise_screen(replace(ds, columns=full))
