@@ -267,6 +267,21 @@ class TestDcovSq:
                 tracemalloc.stop()
             assert peak <= budget + 80 * 8 * n
 
+    def test_two_streaming_samples_stay_within_the_budget(self):
+        # both multivariate: a block of each side fills the budget, and on top of it one
+        # temporary of the distance kernel (64 rows) and a few length-n arrays and buffers
+        rng = np.random.default_rng(21)
+        n = 2000
+        x, y = rng.normal(size=(n, 3)), rng.normal(size=(n, 2))
+        for budget in (10**7, 10**6):
+            tracemalloc.start()
+            try:
+                dcov_sq(x, y, memory_budget=budget)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= budget + 96 * 8 * n
+
     def test_auto_dispatch_small_budget_uses_streaming(self):
         rng = np.random.default_rng(1)
         x, y = rng.normal(size=(64, 1)), rng.normal(size=(64, 1))
