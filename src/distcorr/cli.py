@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import secrets
 import sys
 from dataclasses import asdict
@@ -83,6 +84,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """A seed: a non-negative whole number, as numpy's SeedSequence takes."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative whole number, got {text!r}")
+    return value
+
+
 def _add_quad_flags(parser):
     parser.add_argument("--quad-radius", type=float, default=200.0)
     parser.add_argument("--quad-panels", type=int, default=512)
@@ -107,6 +119,8 @@ def cmd_test(args) -> int:
 def cmd_screen(args) -> int:
     if not 0.0 <= args.low_dcor_percentile <= 100.0:
         raise UsageError(f"--low-dcor-percentile must be in [0, 100], got {args.low_dcor_percentile}")
+    if not math.isfinite(args.nonlinear_gap):
+        raise UsageError(f"--nonlinear-gap must be finite, got {args.nonlinear_gap}")
     seed = _resolve_seed(args.seed)
     dataset = load_dataset(
         args.data,
@@ -223,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True)
     p.add_argument("--delimiter", default=",")
     p.add_argument("--replicates", type=_positive_int, default=999)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("screen", help="pairwise Pearson/dcor screen over a dataset")
@@ -236,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--missing-policy", choices=["reject", "drop-row", "pairwise-drop"], default="reject")
     p.add_argument("--p-values", action="store_true")
     p.add_argument("--replicates", type=_positive_int, default=199)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--nonlinear-gap", type=float, default=0.25)
     p.add_argument("--low-dcor-percentile", type=float, default=5.0)
     p.set_defaults(func=cmd_screen)
@@ -247,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--replicates", type=_positive_int, default=199)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("verify", help="re-certify the build against its oracles")
@@ -255,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = vsub.add_parser("dcov", help="Eq.-style estimator vs triple-sum and quadrature oracles")
     v.add_argument("--n", type=_positive_int, default=5)
-    v.add_argument("--seed", type=int, default=None)
+    v.add_argument("--seed", type=_seed, default=None)
     _add_quad_flags(v)
     v.set_defaults(func=cmd_verify_dcov)
 

@@ -2,7 +2,8 @@
 
 Each sample gets one ``CenteredMatrix``, its double-centered distance matrix
 laid out by shift, and every statistic is one weighted sum over blocks of
-shifts of two of them (``_shift_sum``), as is every permutation replicate.
+shifts of two of them (``_shift_sum``), as is every permutation replicate;
+``gram`` takes those sums for every pair of K stored layouts at once.
 ``rows_that_fit`` is the one byte rule: a sample whose N x N float64 matrix
 fits its budget is materialized, its shifts stored (half of that matrix).
 Otherwise a scalar sample takes the sorted form, whose inner product with
@@ -133,6 +134,24 @@ class CenteredMatrix:
         return 0.0
 
 
+def gram(layouts: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
+    """``inner`` of every pair of K stored layouts at once, with no scale check: a K x K matrix.
+
+    ``layouts`` is the (K, n//2, n) stack of their ``shifts`` and ``diagonals``
+    the (K, n) stack of their ``diagonal``s.  Each sum is three BLAS products
+    on views: the shifts below n/2 count twice, as in ``_shift_sum``, then
+    s = n/2 (n even) and the diagonal once.
+    """
+    k, h, n = layouts.shape
+    flat, below = layouts.reshape(k, h * n), ((n + 1) // 2 - 1) * n  # entries of the shifts below n/2
+    low, high = flat[:, :below], flat[:, below:]
+    total = low @ low.T
+    total *= 2.0
+    total += high @ high.T
+    total += diagonals @ diagonals.T
+    return total / (n * n)
+
+
 @dataclass(frozen=True)
 class PairStats:
     """Computed statistics for one (x, y) pair."""
@@ -164,15 +183,16 @@ def _centered_shifts(a: CenteredMatrix, s0: int, s1: int) -> np.ndarray:
     return _center(_shift_distances(a.sample.data, s0, s1), a.row_mean, s0, a.grand_mean)
 
 
-def _built(s: Sample, block_rows: int, store: bool) -> CenteredMatrix:
+def _built(s: Sample, block_rows: int, store: bool, out: np.ndarray | None = None) -> CenteredMatrix:
     """A sample's CenteredMatrix from one pass over its shift distances, stored if ``store``.
 
     Row k's sum takes the pairs (k, k + s) of each block, its column sums,
-    and the pairs (k - s, k) but for s = n/2, its mirrored sums.
+    and the pairs (k - s, k) but for s = n/2, its mirrored sums.  The stored
+    shifts are written into ``out``, an (n//2, n) array, if given.
     """
     n, h = s.n, s.n // 2
     step = min(block_rows, _KERNEL_ROWS)  # the doubled copy is a temporary block too
-    shifts = np.empty((h, n)) if store else None
+    shifts = (np.empty((h, n)) if out is None else out) if store else None
     sums = np.zeros(n)
     for s0 in range(1, h + 1, step):
         s1 = min(s0 + step, h + 1)
@@ -195,20 +215,21 @@ def rows_that_fit(n: int, memory_budget: int) -> int:
     return memory_budget // (8 * max(n, 1))
 
 
-def double_center(x, memory_budget: int | None = None) -> CenteredMatrix:
+def double_center(x, memory_budget: int | None = None, out: np.ndarray | None = None) -> CenteredMatrix:
     """The CenteredMatrix of a sample, materialized if its N x N matrix fits ``memory_budget`` bytes.
 
-    With no budget it is always materialized.  Otherwise the sample takes
-    the sorted form if scalar and streams if not, in blocks of as many
-    shifts as rows fit (at least one, at most ``STREAM_BLOCK_ROWS``).  The
-    sample is taken as it is, with scale 0.
+    With no budget it is always materialized, its shifts written into
+    ``out`` if given.  Otherwise the sample takes the sorted form if scalar
+    and streams if not, in blocks of as many shifts as rows fit (at least
+    one, at most ``STREAM_BLOCK_ROWS``).  The sample is taken as it is,
+    with scale 0.
     """
     s = as_sample(x)
     rows = s.n if memory_budget is None else rows_that_fit(s.n, memory_budget)
     if rows < s.n:
         block_rows = max(1, min(rows, STREAM_BLOCK_ROWS))
         return _sorted(s, block_rows) if s.is_scalar else _built(s, block_rows, store=False)
-    return _built(s, s.n, store=True)
+    return _built(s, s.n, True, out)
 
 
 def _sorted(s: Sample, block_rows: int) -> CenteredMatrix:
@@ -276,12 +297,15 @@ def _unit(s: Sample) -> tuple[Sample, int]:
     return (Sample(np.ldexp(s.data, -e)) if e else s), e
 
 
-def _scaled(x, memory_budget: int | None = None) -> CenteredMatrix:
-    """The CenteredMatrix of ``_unit(x)``, with e as its ``scale``; a CenteredMatrix is kept."""
+def _scaled(x, memory_budget: int | None = None, out: np.ndarray | None = None) -> CenteredMatrix:
+    """The CenteredMatrix of ``_unit(x)``, with e as its ``scale``; a CenteredMatrix is kept.
+
+    ``out`` is passed to ``double_center``.
+    """
     if isinstance(x, CenteredMatrix):
         return x
     s, e = _unit(as_sample(x))
-    return replace(double_center(s, memory_budget), scale=e)
+    return replace(double_center(s, memory_budget, out), scale=e)
 
 
 def _centered_pair(x, y, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> tuple[CenteredMatrix, ...]:
@@ -332,13 +356,7 @@ def dcor(x, y, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PairStats:
     """
     a, b = _centered_pair(x, y, memory_budget)
     vxy = a.inner(b)
-    if a.dvar <= 0.0 or b.dvar <= 0.0:
-        r = 0.0
-    else:
-        r = float(np.sqrt(vxy) / np.sqrt(a.dvar * b.dvar))
-        if r > 1.0 + 1e-12:
-            raise DataQualityError(f"distance correlation exceeded 1 by too much: {r}")
-        r = min(r, 1.0)
+    r = correlation(vxy, a.dvar, b.dvar)
     p = None
     if a.sample.is_scalar and b.sample.is_scalar:
         try:
@@ -353,6 +371,19 @@ def dcor(x, y, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PairStats:
         pearson=p,
         n=a.n,
     )
+
+
+def correlation(vxy: float, dvar_x: float, dvar_y: float) -> float:
+    """dcor from dcov^2 >= 0 and the two dVars: 0 if either dVar is 0, and at most 1.
+
+    A value above 1 by more than 1e-12 raises DataQualityError.
+    """
+    if dvar_x <= 0.0 or dvar_y <= 0.0:
+        return 0.0
+    r = math.sqrt(vxy) / math.sqrt(dvar_x * dvar_y)
+    if r > 1.0 + 1e-12:
+        raise DataQualityError(f"distance correlation exceeded 1 by too much: {r}")
+    return min(r, 1.0)
 
 
 def pearson(x, y) -> float:

@@ -4,6 +4,14 @@ Loads a delimited file, optionally partitions rows by a grouping column,
 computes Pearson and distance correlation for every unordered pair of
 selected columns within each group, applies configurable outlier flags,
 and emits plot-ready CSV or JSON.
+
+While a group's K centered columns fit the memory budget, the columns
+with no missing cell in it are centered into one (K, n//2, n) buffer, and
+one ``core.gram`` product over it gives all their pairs' dcov^2 and dVar.
+A pair with its own complete-case rows, and one whose Gram entry comes out
+negative or NaN, takes ``dcor`` on its two centered matrices; so do all
+pairs of a group above the budget.  Permutation tests take the cached
+centered matrices, pair by pair.
 """
 from __future__ import annotations
 
@@ -15,7 +23,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import DEFAULT_MEMORY_BUDGET, _centered_pair, _scaled, dcor, rows_that_fit
+from .core import DEFAULT_MEMORY_BUDGET, _centered_pair, _scaled, correlation, dcor, gram, rows_that_fit
 from .errors import DataFormatError
 from .inference import permutation_test
 
@@ -162,13 +170,47 @@ def _pair_seed(base_seed: int, group_index: int, pair_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _centered_column(cache: dict | None, name: str, col: np.ndarray, ok: np.ndarray):
-    """The column's cached CenteredMatrix if ``ok`` are its own complete rows, else col[ok]."""
-    if cache is None or not np.array_equal(ok, np.isfinite(col)):
+def _centered_column(cache: dict | None, name: str, col: np.ndarray, ok: np.ndarray,
+                     finite: np.ndarray):
+    """The column's cached CenteredMatrix if ``ok`` are its own complete (``finite``) rows, else col[ok]."""
+    if cache is None or not np.array_equal(ok, finite):
         return col[ok]
     if name not in cache:
         cache[name] = _scaled(col[ok])
     return cache[name]
+
+
+def _complete_pairs(cache: dict, columns: dict[str, np.ndarray], layouts: np.ndarray) -> dict:
+    """(dcor, pearson) of every pair of ``columns``, which have no missing cell, keyed by sorted names.
+
+    Each column is centered straight into its slot of ``layouts``, a
+    (K, n//2, n) array, and cached.  Then one ``gram`` gives every dcov^2
+    and dVar, under ``dcor``'s rules.  A pair whose dcov^2 or either dVar^2
+    comes out negative or NaN is left out, for ``dcor`` and the scale check
+    of ``inner``.  Pearson takes ``pearson``'s sums of the scaled
+    deviations' products, one column against the later ones at a time, so
+    it is ``pearson``'s value (None for a zero norm).
+    """
+    names = list(columns)
+    if len(names) < 2:
+        return {}
+    forms = [_scaled(columns[name], out=layout) for name, layout in zip(names, layouts)]
+    cache.update(zip(names, forms))
+    vxy = gram(layouts, np.array([c.diagonal for c in forms]))
+    with np.errstate(invalid="ignore"):  # NaN for a negative or NaN dVar^2
+        dvars, vxy = np.sqrt(np.diag(vxy)).tolist(), vxy.tolist()
+    deviations = np.array([c.sample.deviations[0] for c in forms])
+    norms = np.array([c.sample.deviation_norm for c in forms])
+    pairs = {}
+    for i, a in enumerate(names):
+        with np.errstate(invalid="ignore", divide="ignore"):  # a zero norm: None below
+            r = (deviations[i + 1:] * deviations[i]).sum(axis=1) / (norms[i] * norms[i + 1:])
+        pearsons = np.clip(r, -1.0, 1.0).tolist()
+        for j, p in enumerate(pearsons, start=i + 1):
+            if vxy[i][j] >= 0.0 and dvars[i] >= 0.0 and dvars[j] >= 0.0:  # NaN compares False
+                p = p if norms[i] > 0.0 and norms[j] > 0.0 else None
+                pairs[tuple(sorted((a, names[j])))] = (correlation(vxy[i][j], dvars[i], dvars[j]), p)
+    return pairs
 
 
 def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> CorrelationTable:
@@ -188,6 +230,7 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
     records = []
     warnings = []
     usable_groups = 0
+    buffer = np.empty(0)  # the layouts of a group's complete columns, reused so that no group faults it in
     for gi, (label, mask) in enumerate(masks):
         rows = int(mask.sum())
         if rows < config.min_group_rows:
@@ -196,17 +239,25 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
             )
             continue
         usable_groups += 1
+        columns = {name: dataset.columns[name][mask] for name in names}
+        finite = {name: np.isfinite(col) for name, col in columns.items()}
         # One centered matrix per column, kept while K + 2 n x n matrices fit the
         # budget: each column stores half of one, which leaves room for one
         # uncached pair's two and a permutation test's block of y's distances.
         cache = {} if rows_that_fit(rows, DEFAULT_MEMORY_BUDGET) >= (len(names) + 2) * rows else None
+        complete = {}
+        if cache is not None:
+            full = {name: col for name, col in columns.items() if finite[name].all()}
+            size = len(full) * (rows // 2) * rows
+            if buffer.size < size:
+                del buffer  # freed before the larger one is allocated
+                buffer = np.empty(size)
+            complete = _complete_pairs(cache, full, buffer[:size].reshape(len(full), rows // 2, rows))
         pair_index = 0
         for i in range(len(names)):
             for j in range(i + 1, len(names)):
                 var_a, var_b = sorted((names[i], names[j]))
-                col_a = dataset.columns[var_a][mask]
-                col_b = dataset.columns[var_b][mask]
-                ok = np.isfinite(col_a) & np.isfinite(col_b)
+                ok = finite[var_a] & finite[var_b]
                 n = int(ok.sum())
                 if n < config.min_group_rows:
                     warnings.append(
@@ -215,11 +266,16 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
                     )
                     pair_index += 1
                     continue
-                # built once for dcor and the test alike, unless cached
-                a, b = _centered_pair(_centered_column(cache, var_a, col_a, ok),
-                                      _centered_column(cache, var_b, col_b, ok))
-                stats = dcor(a, b)
-                flags = () if stats.pearson is not None else ("degenerate-variance",)
+                r, p = complete.get((var_a, var_b), (None, None))
+                if r is None or config.p_values:
+                    # built once for dcor and the test alike, unless cached
+                    a, b = _centered_pair(
+                        _centered_column(cache, var_a, columns[var_a], ok, finite[var_a]),
+                        _centered_column(cache, var_b, columns[var_b], ok, finite[var_b]))
+                if r is None:
+                    stats = dcor(a, b)
+                    r, p = stats.dcor, stats.pearson
+                flags = () if p is not None else ("degenerate-variance",)
                 p_value = None
                 if config.p_values:
                     seed = _pair_seed(config.seed, gi, pair_index)
@@ -230,8 +286,8 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
                         var_a=var_a,
                         var_b=var_b,
                         n=n,
-                        pearson=0.0 if stats.pearson is None else stats.pearson,
-                        dcor=stats.dcor,
+                        pearson=0.0 if p is None else p,
+                        dcor=r,
                         p_value=p_value,
                         flags=flags,
                     )

@@ -83,8 +83,22 @@ class TestCompute:
         # argparse rejects these, naming the flag
         (["verify", "dcov", "--n", "-1", "--seed", "1"], "error: argument --n: must be a positive"),
         (["verify", "dcov", "--n", "0", "--seed", "1"], "error: argument --n: must be a positive"),
+        # numpy's SeedSequence takes no negative seed: every --seed is rejected before it runs
+        (["test", "--x", "x.csv", "--y", "y.csv", "--seed", "-3"], "error: argument --seed: must be a non-negative"),
+        (["screen", "--data", "missing.csv", "--out", "unused.csv", "--seed", "-3"],
+         "error: argument --seed: must be a non-negative"),
+        (["screen", "--data", "missing.csv", "--out", "unused.csv", "--p-values", "--seed", "-3"],
+         "error: argument --seed: must be a non-negative"),
+        (["power", "--scenario", "linear", "--n", "10", "--seed", "-3"], "error: argument --seed: must be a non-negative"),
+        (["verify", "dcov", "--seed", "-3"], "error: argument --seed: must be a non-negative"),
+        (["verify", "dcov", "--seed", "1.5"], "error: argument --seed: must be a non-negative"),
+        # checked before the data file is read, as the percentile is
+        (["screen", "--data", "missing.csv", "--out", "unused.csv", "--nonlinear-gap", "nan"],
+         "^error: usage: --nonlinear-gap must be finite, got nan"),
+        (["screen", "--data", "missing.csv", "--out", "unused.csv", "--nonlinear-gap", "inf"],
+         "^error: usage: --nonlinear-gap must be finite, got inf"),
     ],
-    ids=[f"argv{i}" for i in range(7)],
+    ids=[f"argv{i}" for i in range(15)],
 )
 def test_invalid_argument_exit_2(capsys, argv, error):
     try:

@@ -19,6 +19,7 @@ from distcorr.core import (
     dcov_sq_materialized,
     dcov_sq_streaming,
     double_center,
+    gram,
     pairwise_distances,
     pearson,
 )
@@ -355,6 +356,33 @@ class TestInner:
             else:
                 with pytest.raises(DataQualityError, match="significantly negative"):
                     a.inner(moved)
+
+
+class TestGram:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 10])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_agrees_with_inner_and_oracle_sums(self, n, data):
+        def sample():  # real or tied integer, maybe offset by 1e8, maybe constant
+            kind = data.draw(st.sampled_from(["real", "tied", "constant"]))
+            if kind == "constant":
+                return np.full((n, 1), data.draw(st.floats(-100, 100)))
+            elements = st.integers(0, 2).map(float) if kind == "tied" else st.floats(-100, 100)
+            x = data.draw(arrays(np.float64, (n, data.draw(st.integers(1, 2))), elements=elements))
+            return x + data.draw(st.sampled_from([0.0, 1e8]))
+
+        xs = [sample() for _ in range(data.draw(st.integers(1, 4)))]
+        layouts = np.empty((len(xs), n // 2, n))
+        forms = [double_center(x, out=layouts[k]) for k, x in enumerate(xs)]
+        assert all(c.shifts.base is layouts for c in forms)  # built in place, not copied
+        g = gram(layouts, np.array([c.diagonal for c in forms]))
+        assert g.shape == (len(xs), len(xs))
+        for i, a in enumerate(forms):
+            for j, b in enumerate(forms):
+                scale = float(np.abs(dense(a) * dense(b)).mean())
+                tol = 1e-12 * scale + np.finfo(np.float64).tiny
+                assert abs(g[i, j] - a.inner(b)) <= tol
+                assert abs(g[i, j] - dcov_sq_oracle_sums(xs[i], xs[j])) <= tol
 
 
 def random_orthogonal(dim, rng):

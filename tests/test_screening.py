@@ -1,12 +1,16 @@
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from distcorr import core, samples, screening
-from distcorr.core import dcor
-from distcorr.errors import DataFormatError
+from distcorr.core import CenteredMatrix, dcor
+from distcorr.errors import DataFormatError, DataQualityError
 from distcorr.inference import permutation_test
 from distcorr.screening import (
     CorrelationTable,
@@ -108,6 +112,23 @@ def gapped_dataset():
     return Dataset(columns=cols, row_count=80, group_labels=groups)
 
 
+def from_gram(ds, record):
+    """Whether both of the record's columns are complete in its group: read from the Gram products."""
+    mask = ds.group_labels == record.group
+    return all(np.isfinite(ds.columns[v][mask]).all() for v in (record.var_a, record.var_b))
+
+
+@st.composite
+def complete_columns(draw, n):
+    """One to four real or tied integer columns of n rows, maybe offset by 1e8, and a constant one."""
+    cols = {}
+    for k in range(draw(st.integers(1, 4))):
+        elements = st.integers(0, 2).map(float) if draw(st.booleans()) else st.floats(-100, 100)
+        cols[f"c{k}"] = draw(arrays(np.float64, n, elements=elements)) + draw(st.sampled_from([0.0, 1e8]))
+    cols["const"] = np.full(n, draw(st.floats(-100, 100)))
+    return cols
+
+
 class TestPairwiseScreen:
     def test_pair_count_33_columns(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -188,7 +209,11 @@ class TestPairwiseScreen:
                 a, b = ds.columns[r.var_a][mask], ds.columns[r.var_b][mask]
                 ok = np.isfinite(a) & np.isfinite(b)
                 stats = dcor(a[ok], b[ok])
-                assert (r.n, r.dcor, r.pearson) == (int(ok.sum()), stats.dcor, stats.pearson)
+                assert (r.n, r.pearson) == (int(ok.sum()), stats.pearson)
+                if from_gram(ds, r):  # a BLAS product sums in its own order
+                    assert r.dcor == pytest.approx(stats.dcor, rel=1e-12)
+                else:
+                    assert r.dcor == stats.dcor
                 assert r.p_value == u.p_value
         # cache hits (full columns), one cached side (c with a full column), and
         # a pairwise-drop pair whose rows differ from both cached columns (c, d)
@@ -239,7 +264,109 @@ class TestPairwiseScreen:
         cfg = ScreenConfig(p_values=True, replicates=9, seed=4)
         cached = pairwise_screen(ds, cfg)
         monkeypatch.setattr(screening, "DEFAULT_MEMORY_BUDGET", 0)
-        assert pairwise_screen(ds, cfg) == cached
+        per_pair = pairwise_screen(ds, cfg)
+        assert (per_pair.metadata, per_pair.warnings) == (cached.metadata, cached.warnings)
+        assert len(per_pair.records) == len(cached.records)
+        for r, c in zip(per_pair.records, cached.records):
+            if from_gram(ds, c):  # all but dcor identical: a BLAS product sums in its own order
+                assert replace(r, dcor=c.dcor) == c
+                assert r.dcor == pytest.approx(c.dcor, rel=1e-12)
+            else:
+                assert r == c
+
+    @pytest.mark.parametrize("n", [3, 4, 11, 12])
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_gram_records_agree_with_per_pair_dcor(self, n, data):
+        cols = data.draw(complete_columns(n))
+        table = pairwise_screen(Dataset(columns=cols, row_count=n))
+        assert len(table.records) == len(cols) * (len(cols) - 1) // 2
+        for r in table.records:
+            x, y = cols[r.var_a], cols[r.var_b]
+            stats = dcor(x, y)
+            assert r.n == n
+            assert r.flags == (() if stats.pearson is not None else ("degenerate-variance",))
+            # dcor^2 = dcov^2 / (dVar dVar): an error of 1e-12 of the scale sum(|A * B|) / n^2 moves it
+            # by at most 1e-12, and dcor itself by more only where it is near 0
+            assert abs(r.dcor**2 - stats.dcor**2) <= 1e-12
+            assert r.pearson == (0.0 if stats.pearson is None else stats.pearson)
+            if "const" in (r.var_a, r.var_b):
+                assert (r.dcor, r.pearson, r.flags) == (0.0, 0.0, ("degenerate-variance",))
+
+    @pytest.mark.parametrize("corrupt", ["negative", "tiny negative", "nan"])
+    def test_negative_or_nan_gram_entry_takes_inner(self, monkeypatch, corrupt):
+        rng = np.random.default_rng(23)
+        cols = {name: rng.normal(size=30) for name in "abc"}
+        forms = {}
+        build = screening._scaled
+
+        def corrupted(x, memory_budget=None, out=None):
+            c = build(x, memory_budget, out)
+            if out is not None and np.array_equal(x, cols["b"]):
+                if corrupt == "nan":
+                    out[0, 0] = np.nan
+                else:  # -A, times 1e-20 for a sum within inner's clamp
+                    f = 1.0 if corrupt == "negative" else 1e-20
+                    out *= -f
+                    c = CenteredMatrix(c.sample, -f * c.row_mean, -f * c.grand_mean, shifts=out, scale=c.scale)
+            forms[next(name for name, v in cols.items() if np.array_equal(x, v))] = c
+            return c
+
+        monkeypatch.setattr(screening, "_scaled", corrupted)
+        if corrupt == "tiny negative":
+            table = pairwise_screen(Dataset(columns=cols, row_count=30))
+            for r in table.records:
+                stats = dcor(forms[r.var_a], forms[r.var_b])
+                if "b" in (r.var_a, r.var_b):  # inner clamps the sum to 0
+                    assert (r.dcor, r.pearson) == (0.0, stats.pearson) == (stats.dcor, stats.pearson)
+                else:
+                    assert r.pearson == stats.pearson
+                    assert r.dcor == pytest.approx(stats.dcor, rel=1e-12)
+            return
+        with pytest.raises(DataQualityError) as raised:
+            pairwise_screen(Dataset(columns=cols, row_count=30))
+        with pytest.raises(DataQualityError) as direct:
+            forms["a"].inner(forms["b"])  # the first pair, (a, b)
+        assert str(raised.value) == str(direct.value)
+        assert "NaN or significantly negative" in str(raised.value)
+
+    def test_p_values_keep_order_seeds_and_values(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        cols = {name: rng.normal(size=60) for name in "dcba"}
+        cols["c"] = np.round(cols["b"] ** 2 * 3)  # tied integer values
+        groups = np.array(["g0"] * 30 + ["g1"] * 30, dtype=object)
+        ds = Dataset(columns=cols, row_count=60, group_labels=groups)
+        cfg = ScreenConfig(p_values=True, replicates=19, seed=7)
+        table = pairwise_screen(ds, cfg)
+        monkeypatch.setattr(screening, "DEFAULT_MEMORY_BUDGET", 0)
+        per_pair = pairwise_screen(ds, cfg)
+        assert [(r.group, r.var_a, r.var_b, r.p_value) for r in table.records] == [
+            (r.group, r.var_a, r.var_b, r.p_value) for r in per_pair.records
+        ]
+        names = list(cols)
+        pairs = [sorted((names[i], names[j])) for i in range(4) for j in range(i + 1, 4)]
+        assert [(r.var_a, r.var_b) for r in table.records] == [tuple(p) for p in pairs] * 2
+        for k, r in enumerate(table.records):
+            gi, pair_index = divmod(k, len(pairs))
+            mask = groups == f"g{gi}"
+            seed = screening._pair_seed(7, gi, pair_index)
+            x, y = cols[r.var_a][mask], cols[r.var_b][mask]
+            assert r.p_value == permutation_test(x, y, 19, seed).p_value
+
+    def test_group_buffer_bounds_traced_peak(self):
+        k, n = 33, 400
+        rng = np.random.default_rng(25)
+        ds = Dataset(columns={f"v{i:02d}": rng.normal(size=n) for i in range(k)}, row_count=n)
+        tracemalloc.start()
+        try:
+            pairwise_screen(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the (K, n//2, n) layouts (21.1 MB) and no copy of them, plus O(K n): about 8 vectors of n
+        # per column (its masked copy, scaled sample, row means, diagonal, deviations and their
+        # stacks) and _built's temporary block of 64 doubled shifts
+        assert peak <= k * 8 * n * (n // 2) + 8 * n * (8 * k + 128)
 
     def test_statistics_in_range(self, tmp_path):
         table = pairwise_screen(synthetic_dataset(tmp_path, n=50))
