@@ -6,12 +6,15 @@ shifts of two of them (``_shift_sum``), as is every permutation replicate;
 ``gram`` takes those sums for every pair of K stored layouts at once.
 ``rows_that_fit`` is the one byte rule: a sample whose N x N float64 matrix
 fits its budget is materialized, its shifts stored (half of that matrix).
-Otherwise a scalar sample takes the sorted form, whose inner product with
-another sorted form costs O(N log N) (``cross_term``), and a multivariate
-one streams.  ``dcov_sq`` and ``dcor`` give each sample half the budget,
-and center it through ``_scaled``, as do the permutation test and the
-screen: scaled by a power of two so that no spread under- or overflows,
-and scaled back in results.
+Scalar samples are materialized as a stack of K columns at once
+(``_centered_columns``), whose row means come from the sorted deviations
+(``_row_means``), as do the sorted form's.  Otherwise a scalar sample takes
+the sorted form, whose inner product with another sorted form costs
+O(N log N) (``cross_term``), and a multivariate one streams.  ``dcov_sq``
+and ``dcor`` give each sample half the budget, and center it through
+``_scaled``, as does the permutation test; the screen stacks its columns
+with each one's own exponent.  Each sample is scaled by a power of two so
+that no spread under- or overflows, and scaled back in results.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataQualityError, DegenerateVarianceError
-from .samples import _KERNEL_ROWS, Sample, _shift_distances, _shifted, as_sample, check_same_n
+from .samples import _KERNEL_ROWS, Sample, _deviations, _shift_distances, _shifted, as_sample, check_same_n
 from .samples import _euclidean as cdist  # the full matrix of pairwise_distances
 
 # Bytes that dcov_sq and dcor may spend on N x N matrices or their blocks.
@@ -134,21 +137,29 @@ class CenteredMatrix:
         return 0.0
 
 
-def gram(layouts: np.ndarray, diagonals: np.ndarray) -> np.ndarray:
+def gram(layouts: np.ndarray, diagonals: np.ndarray, star: int | None = None) -> np.ndarray:
     """``inner`` of every pair of K stored layouts at once, with no scale check: a K x K matrix.
 
     ``layouts`` is the (K, n//2, n) stack of their ``shifts`` and ``diagonals``
     the (K, n) stack of their ``diagonal``s.  Each sum is three BLAS products
     on views: the shifts below n/2 count twice, as in ``_shift_sum``, then
-    s = n/2 (n even) and the diagonal once.
+    s = n/2 (n even) and the diagonal once.  With ``star`` = c, only row and
+    column c and the diagonal are taken (one matrix-vector product per part,
+    and each layout's sum of squares); the other entries are NaN.
     """
     k, h, n = layouts.shape
     flat, below = layouts.reshape(k, h * n), ((n + 1) // 2 - 1) * n  # entries of the shifts below n/2
     low, high = flat[:, :below], flat[:, below:]
-    total = low @ low.T
-    total *= 2.0
-    total += high @ high.T
-    total += diagonals @ diagonals.T
+    if star is None:
+        total = low @ low.T
+        total *= 2.0
+        total += high @ high.T
+        total += diagonals @ diagonals.T
+        return total / (n * n)
+    total = np.full((k, k), np.nan)
+    total[star] = total[:, star] = 2.0 * (low @ low[star]) + high @ high[star] + diagonals @ diagonals[star]
+    squares = [np.einsum("ij,ij->i", part, part) for part in (low, high, diagonals)]
+    np.fill_diagonal(total, 2.0 * squares[0] + squares[1] + squares[2])
     return total / (n * n)
 
 
@@ -170,10 +181,14 @@ def pairwise_distances(x) -> np.ndarray:
     return cdist(s.data, s.data)
 
 
-def _center(c: np.ndarray, row: np.ndarray, s0: int, grand: float) -> np.ndarray:
-    """Center the shift layout's rows for shifts s0.. in place: a_k,k+s - m_k - m_k+s + m."""
-    c -= row
-    c -= _shifted(row, s0, s0 + len(c))
+def _center(c: np.ndarray, row: np.ndarray, s0: int, grand) -> np.ndarray:
+    """Center the shift layout's rows for shifts s0.. in place: a_k,k+s - m_k - m_k+s + m.
+
+    A stack of layouts (K, rows, n) takes its (K, n) row means and its
+    grand means as a (K, 1, 1) array.
+    """
+    c -= row[..., None, :]
+    c -= _shifted(row, s0, s0 + c.shape[-2])
     c += grand
     return c
 
@@ -188,7 +203,8 @@ def _built(s: Sample, block_rows: int, store: bool, out: np.ndarray | None = Non
 
     Row k's sum takes the pairs (k, k + s) of each block, its column sums,
     and the pairs (k - s, k) but for s = n/2, its mirrored sums.  The stored
-    shifts are written into ``out``, an (n//2, n) array, if given.
+    shifts are written into ``out``, an (n//2, n) array, if given.  A
+    scalar sample that is stored takes ``_centered_columns`` instead.
     """
     n, h = s.n, s.n // 2
     step = min(block_rows, _KERNEL_ROWS)  # the doubled copy is a temporary block too
@@ -219,30 +235,83 @@ def double_center(x, memory_budget: int | None = None, out: np.ndarray | None = 
     """The CenteredMatrix of a sample, materialized if its N x N matrix fits ``memory_budget`` bytes.
 
     With no budget it is always materialized, its shifts written into
-    ``out`` if given.  Otherwise the sample takes the sorted form if scalar
-    and streams if not, in blocks of as many shifts as rows fit (at least
-    one, at most ``STREAM_BLOCK_ROWS``).  The sample is taken as it is,
-    with scale 0.
+    ``out`` if given: a scalar sample as the stack of one column
+    (``_centered_columns``), a multivariate one by ``_built``.  Otherwise
+    the sample takes the sorted form if scalar and streams if not, in
+    blocks of as many shifts as rows fit (at least one, at most
+    ``STREAM_BLOCK_ROWS``).  The sample is taken as it is, with scale 0.
     """
     s = as_sample(x)
     rows = s.n if memory_budget is None else rows_that_fit(s.n, memory_budget)
     if rows < s.n:
         block_rows = max(1, min(rows, STREAM_BLOCK_ROWS))
         return _sorted(s, block_rows) if s.is_scalar else _built(s, block_rows, store=False)
+    if s.is_scalar:
+        return _centered_columns(s.data.T, np.zeros(1, dtype=int), None if out is None else out[None])[0][0]
     return _built(s, s.n, True, out)
+
+
+def _row_means(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row means of |d_k - d_l| 2^e for each row of a (K, n) stack of deviations, and each row's sort order.
+
+    At sorted position i, sum_l |d_k - d_l| = (i - (n - i)) d_i + (total -
+    before_i) - before_i, where before_i sums the values sorted before it:
+    O(n log n) for a row (Huo and Szekely 2016).  ``e`` holds each row's
+    exponent, as ``_deviations`` gives it.
+    """
+    n = d.shape[1]
+    order = np.argsort(d, axis=1, kind="stable")
+    d = np.take_along_axis(d, order, axis=1)
+    rows = np.zeros_like(d)
+    np.cumsum(d[:, :-1], axis=1, out=rows[:, 1:])  # before_i
+    rows *= -2.0
+    rows += d.sum(axis=1, keepdims=True)  # total - 2 before_i
+    d *= 2 * np.arange(n) - n
+    rows += d
+    del d
+    rows /= n
+    row = np.empty_like(rows)
+    np.put_along_axis(row, order, np.ldexp(rows, e[:, None], out=rows), axis=1)
+    return row, order
 
 
 def _sorted(s: Sample, block_rows: int) -> CenteredMatrix:
     """The sorted form of a scalar sample: its order and row means, in O(n) memory."""
     d, e = s.deviations
-    order = np.argsort(d, kind="stable")
-    d = d[order]
-    before = np.concatenate(([0.0], np.cumsum(d[:-1])))  # sum of the values sorted before each
-    # sum_l |d_k - d_l| at sorted position i: (i - (n - i)) d_i + (total - before_i) - before_i
-    rows = (2 * np.arange(s.n) - s.n) * d + (d.sum() - 2.0 * before)
-    row = np.empty(s.n)
-    row[order] = np.ldexp(rows / s.n, e)
-    return CenteredMatrix(s, row, float(row.mean()), block_rows=block_rows, order=order)
+    row, order = _row_means(d[None], np.array([e]))
+    return CenteredMatrix(s, row[0], float(row[0].mean()), block_rows=block_rows, order=order[0])
+
+
+def _centered_columns(data: np.ndarray, exponents: np.ndarray,
+                      out: np.ndarray | None = None) -> tuple[list[CenteredMatrix], np.ndarray, np.ndarray]:
+    """The stored CenteredMatrix of each row of ``data``, a (K, n) stack of scalar samples, as a list.
+
+    Row j is taken times 2^-e_j, with e_j = ``exponents[j]`` as its
+    ``scale``.  The shift layouts are written into ``out``, a (K, n//2, n)
+    array (made here if None), in a fixed number of numpy calls for the
+    whole stack: the distances from one strided view over the stack joined
+    to itself, the row means from the sorted deviations (``_row_means``),
+    and the centering in place.  Each row takes the same arithmetic as it
+    would alone.  The (K, n) stacks of the samples' ``deviations`` and of
+    the forms' ``diagonal``s are returned with the list; each sample keeps
+    its row of the deviations.
+    """
+    k, n = data.shape
+    x = np.ldexp(data, -exponents[:, None])
+    out = np.empty((k, n // 2, n)) if out is None else out
+    np.abs(np.subtract(_shifted(x, 1, n // 2 + 1), x[:, None, :], out=out), out=out)
+    d, e = _deviations(x)
+    row = _row_means(d, e)[0]
+    grand = row.mean(axis=1)
+    _center(out, row, 1, grand[:, None, None])
+    diagonals = grand[:, None] - 2.0 * row
+    forms = []
+    for j in range(k):
+        s = Sample(x[j, :, None])
+        s.__dict__["deviations"] = d[j], int(e[j])  # the cached_property's value
+        forms.append(CenteredMatrix(s, row[j], float(grand[j]), shifts=out[j], block_rows=n,
+                                    scale=int(exponents[j])))
+    return forms, d, diagonals
 
 
 def cross_term(x: np.ndarray, y: np.ndarray, x_order: np.ndarray, y_order: np.ndarray) -> float:
@@ -290,22 +359,27 @@ def cross_term(x: np.ndarray, y: np.ndarray, x_order: np.ndarray, y_order: np.nd
     return 2.0 * total
 
 
+def _unit_exponents(data: np.ndarray) -> np.ndarray:
+    """For each row of data, the even e that brings its range near 1 as data times 2^-e.
+
+    Even, so that square roots stay exact; the range is halved first, so
+    that it cannot overflow.
+    """
+    return (np.frexp(np.ptp(np.ldexp(data, -1), axis=-1))[1] + 1) & ~1
+
+
 def _unit(s: Sample) -> tuple[Sample, int]:
-    """s times 2^-e, with its widest column range near 1, and e (even: square roots stay exact)."""
-    half_range = np.ptp(np.ldexp(s.data, -1), axis=0).max()  # halved, so it cannot overflow
-    e = (math.frexp(half_range)[1] + 1) & ~1
+    """s times 2^-e, with its widest column range near 1, and e: ``_unit_exponents``' largest."""
+    e = int(_unit_exponents(s.data.T).max())
     return (Sample(np.ldexp(s.data, -e)) if e else s), e
 
 
-def _scaled(x, memory_budget: int | None = None, out: np.ndarray | None = None) -> CenteredMatrix:
-    """The CenteredMatrix of ``_unit(x)``, with e as its ``scale``; a CenteredMatrix is kept.
-
-    ``out`` is passed to ``double_center``.
-    """
+def _scaled(x, memory_budget: int | None = None) -> CenteredMatrix:
+    """The CenteredMatrix of ``_unit(x)``, with e as its ``scale``; a CenteredMatrix is kept."""
     if isinstance(x, CenteredMatrix):
         return x
     s, e = _unit(as_sample(x))
-    return replace(double_center(s, memory_budget, out), scale=e)
+    return replace(double_center(s, memory_budget), scale=e)
 
 
 def _centered_pair(x, y, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> tuple[CenteredMatrix, ...]:

@@ -38,12 +38,12 @@ class QuadratureSpec:
     tolerance: float = 1e-2
 
     def __post_init__(self):
-        if self.truncation_radius <= 0:
-            raise UsageError("truncation_radius must be positive")
+        if not 0 < self.truncation_radius < math.inf:  # False for NaN
+            raise UsageError(f"truncation_radius must be positive and finite, got {self.truncation_radius}")
         if self.panel_count < 2:
             raise UsageError("panel_count must be at least 2")
-        if self.tolerance <= 0:
-            raise UsageError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise UsageError(f"tolerance must be positive and finite, got {self.tolerance}")
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ Scalar samples have d = 1.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,7 +34,8 @@ class Sample:
     @cached_property
     def deviations(self) -> tuple[np.ndarray, int]:
         """A scalar sample's ``_deviations``, computed once per Sample."""
-        return _deviations(self.data[:, 0])
+        d, e = _deviations(self.data[:, 0])
+        return d, int(e)
 
     @cached_property
     def deviation_norm(self) -> float:
@@ -73,23 +73,24 @@ def check_same_n(x: Sample, y: Sample) -> int:
     return x.n
 
 
-def _deviations(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """A scalar sample minus its mean, scaled by 2^-e, and e.
+def _deviations(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A scalar sample minus its mean, scaled by 2^-e, and e; of each row of a stack (..., n) alike.
 
     The scaling is exact: e is the power of two that brings the largest
     deviation into [0.5, 1).  v is scaled below 1 before its mean is taken,
     so a sum beyond float64's range cannot overflow.  A constant sample's
     float mean can miss its value, so its deviations are set to exactly 0,
-    with e = 0.
+    with e = 0.  Each row takes the same arithmetic as it would alone.
     """
-    f = math.frexp(float(np.abs(v).max()))[1]
-    v = np.ldexp(v, -f)
-    d = v - v.mean()
-    lo, hi = d.min(), d.max()
-    if lo == hi:
-        return np.zeros_like(d), 0
-    e = math.frexp(max(hi, -lo))[1]
-    return np.ldexp(d, -e), e + f
+    f = np.frexp(np.abs(v).max(axis=-1, keepdims=True))[1]
+    d = np.ldexp(v, -f)
+    d -= d.mean(axis=-1, keepdims=True)
+    lo, hi = d.min(axis=-1, keepdims=True), d.max(axis=-1, keepdims=True)
+    e = np.frexp(np.maximum(hi, -lo))[1]
+    constant = lo == hi
+    np.ldexp(d, -e, out=d)
+    np.copyto(d, 0.0, where=constant)
+    return d, np.where(constant, 0, e + f)[..., 0]
 
 
 def _even_exponent(data: np.ndarray) -> int:
@@ -120,17 +121,17 @@ def _euclidean(XA: np.ndarray, XB: np.ndarray) -> np.ndarray:
 
 
 def _shifted(z: np.ndarray, s0: int, s1: int) -> np.ndarray:
-    """[s - s0, ..., k] = z[(k + s) % n] for s0 <= s < s1: a strided view over z joined to itself.
+    """[..., s - s0, k] = z[..., (k + s) % n] for s0 <= s < s1: a strided view over z joined to itself.
 
-    It is ``sliding_window_view(joined, n, axis=0)[s0:s1]``, built directly:
-    that function's argument checks cost about 20 us a call, a sixth of a
-    permutation replicate at n = 300.
+    The shift runs along z's last axis, of length n, for each of its leading
+    indices.  For a 1-D z it is ``sliding_window_view(joined, n)[s0:s1]``,
+    built directly: that function's argument checks cost about 20 us a
+    call, a sixth of a permutation replicate at n = 300.
     """
-    n = len(z)
-    joined = np.concatenate((z, z[:-1]))
-    step = joined.strides[0]
-    shape, strides = (s1 - s0, *z.shape[1:], n), (step, *joined.strides[1:], step)
-    return np.ndarray(shape, joined.dtype, joined, s0 * step, strides)
+    n = z.shape[-1]
+    joined = np.concatenate((z, z[..., :-1]), axis=-1)
+    *lead, step = joined.strides
+    return np.ndarray((*z.shape[:-1], s1 - s0, n), joined.dtype, joined, s0 * step, (*lead, step, step))
 
 
 def _shift_distances(data: np.ndarray, s0: int, s1: int,
@@ -145,17 +146,17 @@ def _shift_distances(data: np.ndarray, s0: int, s1: int,
     """
     dim = data.shape[1]
     e = _even_exponent(data) if dim > 1 else 0
-    z = np.ldexp(data, -e) if e else data
-    shifted = _shifted(z, s0, s1)  # [s, j, k] = z_(k+s)j
-    out = np.subtract(shifted[:, 0], z[:, 0], out=None if out is None else out[:s1 - s0])
+    z = (np.ldexp(data, -e) if e else data).T
+    shifted = _shifted(z, s0, s1)  # [j, s, k] = z_j(k+s)
+    out = np.subtract(shifted[0], z[0], out=None if out is None else out[:s1 - s0])
     if dim == 1:
         return np.abs(out, out=out)
     np.multiply(out, out, out=out)
-    tmp = np.empty((min(_KERNEL_ROWS, max(s1 - s0, 1)), len(z))) if tmp is None else tmp
+    tmp = np.empty((min(_KERNEL_ROWS, max(s1 - s0, 1)), z.shape[1])) if tmp is None else tmp
     for i0 in range(0, s1 - s0, len(tmp)):
         rows = slice(i0, i0 + len(tmp))
         diff = tmp[:len(out[rows])]
         for j in range(1, dim):
-            np.subtract(shifted[rows, j], z[:, j], out=diff)
+            np.subtract(shifted[j, rows], z[j], out=diff)
             out[rows] += np.multiply(diff, diff, out=diff)
     return np.ldexp(np.sqrt(out, out=out), e, out=out)

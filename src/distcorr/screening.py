@@ -5,13 +5,14 @@ computes Pearson and distance correlation for every unordered pair of
 selected columns within each group, applies configurable outlier flags,
 and emits plot-ready CSV or JSON.
 
-While a group's K centered columns fit the memory budget, the columns
-with no missing cell in it are centered into one (K, n//2, n) buffer, and
-one ``core.gram`` product over it gives all their pairs' dcov^2 and dVar.
-A pair with its own complete-case rows, and one whose Gram entry comes out
-negative or NaN, takes ``dcor`` on its two centered matrices; so do all
-pairs of a group above the budget.  Permutation tests take the cached
-centered matrices, pair by pair.
+While a group's K centered columns fit the memory budget, its pairs are
+sorted by their complete-case rows, and each set of rows is read in one
+go: its distinct columns, restricted to those rows, are centered as one
+(K, n//2, n) stack into a buffer reused from set to set, and one
+``core.gram`` product over it gives all its pairs' dcov^2 and dVar.  A
+pair whose Gram entry comes out negative or NaN takes ``dcor`` on its two
+centered matrices from the stack, as do the permutation tests; all pairs
+of a group above the budget take ``dcor`` on their own two.
 """
 from __future__ import annotations
 
@@ -23,7 +24,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import DEFAULT_MEMORY_BUDGET, _centered_pair, _scaled, correlation, dcor, gram, rows_that_fit
+from .core import (DEFAULT_MEMORY_BUDGET, _centered_columns, _centered_pair, _unit_exponents, correlation,
+                   dcor, gram, rows_that_fit)
 from .errors import DataFormatError
 from .inference import permutation_test
 
@@ -170,47 +172,45 @@ def _pair_seed(base_seed: int, group_index: int, pair_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _centered_column(cache: dict | None, name: str, col: np.ndarray, ok: np.ndarray,
-                     finite: np.ndarray):
-    """The column's cached CenteredMatrix if ``ok`` are its own complete (``finite``) rows, else col[ok]."""
-    if cache is None or not np.array_equal(ok, finite):
-        return col[ok]
-    if name not in cache:
-        cache[name] = _scaled(col[ok])
-    return cache[name]
+def _read_pairs(columns: np.ndarray, pairs: list, layouts: np.ndarray, p_value) -> dict:
+    """(n, dcor, pearson, p-value) of each pair (pair index, i, j) of the rows of ``columns``, by pair index.
 
-
-def _complete_pairs(cache: dict, columns: dict[str, np.ndarray], layouts: np.ndarray) -> dict:
-    """(dcor, pearson) of every pair of ``columns``, which have no missing cell, keyed by sorted names.
-
-    Each column is centered straight into its slot of ``layouts``, a
-    (K, n//2, n) array, and cached.  Then one ``gram`` gives every dcov^2
-    and dVar, under ``dcor``'s rules.  A pair whose dcov^2 or either dVar^2
-    comes out negative or NaN is left out, for ``dcor`` and the scale check
-    of ``inner``.  Pearson takes ``pearson``'s sums of the scaled
-    deviations' products, one column against the later ones at a time, so
-    it is ``pearson``'s value (None for a zero norm).
+    ``columns`` is a (K, n) stack of columns with no missing cell, centered
+    into ``layouts``, a (K, n//2, n) array.  One ``gram`` gives every
+    dcov^2 and dVar, under ``dcor``'s rules: the whole product, or only one
+    row of it when one column is in every pair (a star).  A pair whose
+    dcov^2 or either dVar^2 comes out negative or NaN takes ``dcor`` on its
+    two forms, for the scale check of ``inner``.  Pearson takes
+    ``pearson``'s sums of the scaled deviations' products, one column
+    against all its partners at a time, so it is ``pearson``'s value (None
+    for a zero norm).  ``p_value(pair index, a, b)`` takes the two forms.
     """
-    names = list(columns)
-    if len(names) < 2:
-        return {}
-    forms = [_scaled(columns[name], out=layout) for name, layout in zip(names, layouts)]
-    cache.update(zip(names, forms))
-    vxy = gram(layouts, np.array([c.diagonal for c in forms]))
+    forms, deviations, diagonals = _centered_columns(columns, _unit_exponents(columns), layouts)
+    star = min(set.intersection(*({i, j} for _, i, j in pairs)), default=None)
+    vxy = gram(layouts, diagonals, star)
+    del diagonals  # freed before the Pearson products
     with np.errstate(invalid="ignore"):  # NaN for a negative or NaN dVar^2
         dvars, vxy = np.sqrt(np.diag(vxy)).tolist(), vxy.tolist()
-    deviations = np.array([c.sample.deviations[0] for c in forms])
-    norms = np.array([c.sample.deviation_norm for c in forms])
-    pairs = {}
-    for i, a in enumerate(names):
+    norms = np.sqrt((deviations * deviations).sum(axis=1))
+    partners = {}
+    for pair in pairs:
+        partners.setdefault(min(pair[1:]) if star is None else star, []).append(pair)
+    results = {}
+    for first, group in partners.items():
+        others = [i + j - first for _, i, j in group]
+        products = deviations[others]
+        products *= deviations[first]
         with np.errstate(invalid="ignore", divide="ignore"):  # a zero norm: None below
-            r = (deviations[i + 1:] * deviations[i]).sum(axis=1) / (norms[i] * norms[i + 1:])
-        pearsons = np.clip(r, -1.0, 1.0).tolist()
-        for j, p in enumerate(pearsons, start=i + 1):
+            pearsons = np.clip(products.sum(axis=1) / (norms[first] * norms[others]), -1.0, 1.0)
+        for (pair_index, i, j), p in zip(group, pearsons.tolist()):
             if vxy[i][j] >= 0.0 and dvars[i] >= 0.0 and dvars[j] >= 0.0:  # NaN compares False
+                r = correlation(vxy[i][j], dvars[i], dvars[j])
                 p = p if norms[i] > 0.0 and norms[j] > 0.0 else None
-                pairs[tuple(sorted((a, names[j])))] = (correlation(vxy[i][j], dvars[i], dvars[j]), p)
-    return pairs
+            else:
+                stats = dcor(forms[i], forms[j])
+                r, p = stats.dcor, stats.pearson
+            results[pair_index] = (columns.shape[1], r, p, p_value(pair_index, forms[i], forms[j]))
+    return results
 
 
 def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> CorrelationTable:
@@ -220,6 +220,12 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
     names = list(dataset.columns)
     if len(names) < 2:
         raise DataFormatError("screening needs at least 2 numeric columns")
+    # (var_a, var_b) sorted by name, and their columns' indices
+    pairs = []
+    for i in range(len(names)):
+        for j in range(i + 1, len(names)):
+            a, b = sorted((i, j), key=names.__getitem__)
+            pairs.append((names[a], names[b], a, b))
 
     if dataset.group_labels is not None:
         labels = sorted(set(dataset.group_labels))
@@ -230,7 +236,7 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
     records = []
     warnings = []
     usable_groups = 0
-    buffer = np.empty(0)  # the layouts of a group's complete columns, reused so that no group faults it in
+    buffer = np.empty(0)  # the layouts of one set of rows, reused so that no set faults it in
     for gi, (label, mask) in enumerate(masks):
         rows = int(mask.sum())
         if rows < config.min_group_rows:
@@ -239,60 +245,62 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
             )
             continue
         usable_groups += 1
-        columns = {name: dataset.columns[name][mask] for name in names}
-        finite = {name: np.isfinite(col) for name, col in columns.items()}
-        # One centered matrix per column, kept while K + 2 n x n matrices fit the
-        # budget: each column stores half of one, which leaves room for one
-        # uncached pair's two and a permutation test's block of y's distances.
-        cache = {} if rows_that_fit(rows, DEFAULT_MEMORY_BUDGET) >= (len(names) + 2) * rows else None
-        complete = {}
-        if cache is not None:
-            full = {name: col for name, col in columns.items() if finite[name].all()}
-            size = len(full) * (rows // 2) * rows
+        data = np.array([dataset.columns[name][mask] for name in names])
+        finite = np.isfinite(data)
+        # the pairs by their complete-case rows: the complete columns' pairs share the
+        # group's rows, and a gapped column's pairs with complete columns share its own
+        own = [None if f.all() else f.tobytes() for f in finite]
+        by_rows = {}  # key -> (rows, their count, [(pair index, a, b)])
+        for pair_index, (var_a, var_b, a, b) in enumerate(pairs):
+            if own[a] is not None and own[b] is not None and own[a] != own[b]:
+                key = (finite[a] & finite[b]).tobytes()
+            else:
+                key = own[b] if own[a] is None else own[a]
+            if key not in by_rows:
+                ok = finite[a] & finite[b]
+                by_rows[key] = (ok, int(ok.sum()), [])
+            ok, n, members = by_rows[key]
+            if n < config.min_group_rows:
+                warnings.append(
+                    f"pair ({var_a}, {var_b}) in group {label!r} skipped: "
+                    f"only {n} complete rows"
+                )
+                continue
+            members.append((pair_index, a, b))
+
+        def p_value(pair_index, a, b, gi=gi):
+            if not config.p_values:
+                return None
+            return permutation_test(a, b, config.replicates, _pair_seed(config.seed, gi, pair_index)).p_value
+
+        # Each set of rows is built as one stack while K + 2 n x n matrices fit the budget:
+        # each column stores half of one, which leaves room for a permutation test's block
+        # of y's distances.  Otherwise every pair builds its own two.
+        stacked = rows_that_fit(rows, DEFAULT_MEMORY_BUDGET) >= (len(names) + 2) * rows
+        results = {}
+        for ok, n, members in by_rows.values():
+            if not members:
+                continue
+            if not stacked:
+                for pair_index, a, b in members:
+                    x, y = _centered_pair(data[a][ok], data[b][ok])  # for dcor and the test alike
+                    stats = dcor(x, y)
+                    results[pair_index] = (n, stats.dcor, stats.pearson, p_value(pair_index, x, y))
+                continue
+            cols = sorted({c for _, a, b in members for c in (a, b)})
+            local = {c: k for k, c in enumerate(cols)}
+            size = len(cols) * (n // 2) * n
             if buffer.size < size:
                 del buffer  # freed before the larger one is allocated
                 buffer = np.empty(size)
-            complete = _complete_pairs(cache, full, buffer[:size].reshape(len(full), rows // 2, rows))
-        pair_index = 0
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                var_a, var_b = sorted((names[i], names[j]))
-                ok = finite[var_a] & finite[var_b]
-                n = int(ok.sum())
-                if n < config.min_group_rows:
-                    warnings.append(
-                        f"pair ({var_a}, {var_b}) in group {label!r} skipped: "
-                        f"only {n} complete rows"
-                    )
-                    pair_index += 1
-                    continue
-                r, p = complete.get((var_a, var_b), (None, None))
-                if r is None or config.p_values:
-                    # built once for dcor and the test alike, unless cached
-                    a, b = _centered_pair(
-                        _centered_column(cache, var_a, columns[var_a], ok, finite[var_a]),
-                        _centered_column(cache, var_b, columns[var_b], ok, finite[var_b]))
-                if r is None:
-                    stats = dcor(a, b)
-                    r, p = stats.dcor, stats.pearson
-                flags = () if p is not None else ("degenerate-variance",)
-                p_value = None
-                if config.p_values:
-                    seed = _pair_seed(config.seed, gi, pair_index)
-                    p_value = permutation_test(a, b, config.replicates, seed).p_value
-                records.append(
-                    PairRecord(
-                        group=str(label),
-                        var_a=var_a,
-                        var_b=var_b,
-                        n=n,
-                        pearson=0.0 if p is None else p,
-                        dcor=r,
-                        p_value=p_value,
-                        flags=flags,
-                    )
-                )
-                pair_index += 1
+            results.update(_read_pairs(
+                data[np.ix_(cols, ok)], [(pair_index, local[a], local[b]) for pair_index, a, b in members],
+                buffer[:size].reshape(len(cols), n // 2, n), p_value))
+        for pair_index, (var_a, var_b, _, _) in enumerate(pairs):
+            if pair_index in results:
+                n, r, p, tested = results[pair_index]
+                records.append(PairRecord(str(label), var_a, var_b, n, 0.0 if p is None else p, r, tested,
+                                          () if p is not None else ("degenerate-variance",)))
     if usable_groups == 0:
         raise DataFormatError("all groups are smaller than the minimum row count")
 
@@ -342,7 +350,8 @@ def flag_outliers(table: CorrelationTable, rule: OutlierRule | None = None) -> C
             dcor_cut, pearson_median = thresholds[rec.group]
             if rec.dcor < dcor_cut and abs(rec.pearson) > pearson_median:
                 flags.append("low-dcor-outlier")
-        new_records.append(replace(rec, flags=tuple(flags)))
+        new_records.append(PairRecord(rec.group, rec.var_a, rec.var_b, rec.n, rec.pearson, rec.dcor,
+                                      rec.p_value, tuple(flags)))  # dataclasses.replace costs 3 us a record
     return replace(table, records=tuple(new_records))
 
 

@@ -37,6 +37,8 @@ class SingularParams:
                 "Gamma(1 - alpha/2) factor has a pole at alpha = 2 and the "
                 "integral diverges outside the interval"
             )
+        if not math.isfinite(self.x):
+            raise UsageError(f"x must be finite, got {self.x}")
 
 
 @dataclass(frozen=True)

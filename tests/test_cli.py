@@ -97,8 +97,16 @@ class TestCompute:
          "^error: usage: --nonlinear-gap must be finite, got nan"),
         (["screen", "--data", "missing.csv", "--out", "unused.csv", "--nonlinear-gap", "inf"],
          "^error: usage: --nonlinear-gap must be finite, got inf"),
+        # a NaN passes every <= 0 check
+        (["verify", "dcov", "--seed", "1", "--quad-radius", "nan"], "^error: usage: truncation_radius must"),
+        (["verify", "dcov", "--seed", "1", "--quad-radius", "inf"], "^error: usage: truncation_radius must"),
+        (["verify", "dcov", "--seed", "1", "--quad-tolerance", "nan"], "^error: usage: tolerance must be"),
+        (["verify", "singular", "--alpha", "1", "--x", "nan"], "^error: usage: x must be finite, got nan"),
+        (["verify", "singular", "--alpha", "1", "--x", "inf"], "^error: usage: x must be finite, got inf"),
+        (["verify", "singular", "--alpha", "1", "--x", "1", "--quad-tolerance", "nan"],
+         "^error: usage: tolerance must be"),
     ],
-    ids=[f"argv{i}" for i in range(15)],
+    ids=[f"argv{i}" for i in range(21)],
 )
 def test_invalid_argument_exit_2(capsys, argv, error):
     try:

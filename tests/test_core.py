@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import distcorr
+from distcorr import core
 from distcorr.core import (
     CenteredMatrix,
     cross_term,
@@ -162,6 +163,32 @@ class TestDoubleCenter:
         tol = 1e-9 * len(d) * max(d.max(), 1.0)
         assert np.all(np.abs(dense(c).sum(axis=0)) <= tol)
         assert np.all(np.abs(dense(c).sum(axis=1)) <= tol)
+
+
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_stack_rows_equal_columns_alone(self, data):
+        # each row of a stack takes the arithmetic of a stack of one, bit for bit
+        n = data.draw(st.integers(1, 12))
+        rows = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            elements = st.integers(0, 2).map(float) if data.draw(st.booleans()) else st.floats(-100, 100)
+            scale = data.draw(st.sampled_from([1.0, 1e-300, 1e160]))
+            rows.append(data.draw(arrays(np.float64, n, elements=elements)) * scale
+                        + data.draw(st.sampled_from([0.0, 1e8])))
+        stack = np.array(rows)
+        exponents = core._unit_exponents(stack)
+        forms, deviations, diagonals = core._centered_columns(stack, exponents)
+        for j, (x, c) in enumerate(zip(rows, forms)):
+            alone = core._scaled(x)
+            assert c.scale == alone.scale == exponents[j]
+            assert np.array_equal(c.sample.data, alone.sample.data)
+            assert np.array_equal(c.shifts, alone.shifts)
+            assert np.array_equal(c.row_mean, alone.row_mean) and c.grand_mean == alone.grand_mean
+            assert np.array_equal(deviations[j], c.sample.deviations[0])
+            assert np.array_equal(diagonals[j], c.diagonal) and np.array_equal(diagonals[j], alone.diagonal)
+            d, e = _deviations(alone.sample.data[:, 0])
+            assert np.array_equal(d, deviations[j]) and e == c.sample.deviations[1]
 
 
 class TestDcovSq:
@@ -377,6 +404,13 @@ class TestGram:
         assert all(c.shifts.base is layouts for c in forms)  # built in place, not copied
         g = gram(layouts, np.array([c.diagonal for c in forms]))
         assert g.shape == (len(xs), len(xs))
+        # a star takes row and column c and the diagonal, as the whole product does
+        c = data.draw(st.integers(0, len(xs) - 1))
+        star = gram(layouts, np.array([c.diagonal for c in forms]), star=c)
+        taken = np.eye(len(xs), dtype=bool)
+        taken[c] = taken[:, c] = True
+        assert np.isnan(star[~taken]).all()
+        assert np.allclose(star[taken], g[taken], rtol=1e-12, atol=np.finfo(np.float64).tiny)
         for i, a in enumerate(forms):
             for j, b in enumerate(forms):
                 scale = float(np.abs(dense(a) * dense(b)).mean())

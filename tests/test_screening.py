@@ -112,20 +112,29 @@ def gapped_dataset():
     return Dataset(columns=cols, row_count=80, group_labels=groups)
 
 
-def from_gram(ds, record):
-    """Whether both of the record's columns are complete in its group: read from the Gram products."""
-    mask = ds.group_labels == record.group
-    return all(np.isfinite(ds.columns[v][mask]).all() for v in (record.var_a, record.var_b))
+def builds(monkeypatch):
+    """The (K, rows) of each stack of columns that pairwise_screen centers, in order."""
+    calls = []
+    build = screening._centered_columns
+    monkeypatch.setattr(screening, "_centered_columns",
+                        lambda data, *a: calls.append(data.shape) or build(data, *a))
+    return calls
 
 
 @st.composite
-def complete_columns(draw, n):
-    """One to four real or tied integer columns of n rows, maybe offset by 1e8, and a constant one."""
+def screen_columns(draw, n):
+    """One to four real or tied integer columns of n rows, maybe offset by 1e8, and a constant one.
+
+    With ``gaps``, each column may miss some cells (NaN).
+    """
     cols = {}
     for k in range(draw(st.integers(1, 4))):
         elements = st.integers(0, 2).map(float) if draw(st.booleans()) else st.floats(-100, 100)
         cols[f"c{k}"] = draw(arrays(np.float64, n, elements=elements)) + draw(st.sampled_from([0.0, 1e8]))
     cols["const"] = np.full(n, draw(st.floats(-100, 100)))
+    if draw(st.booleans()):
+        for v in cols.values():
+            v[draw(st.lists(st.integers(0, n - 1), max_size=n // 2))] = np.nan
     return cols
 
 
@@ -192,8 +201,10 @@ class TestPairwiseScreen:
 
     def test_records_equal_dcor_bit_for_bit(self, monkeypatch):
         calls = []
-        kernel = samples._deviations
-        monkeypatch.setattr(samples, "_deviations", lambda v: calls.append(len(v)) or kernel(v))
+        for module in (core, samples):  # the stacks' deviations, and any one sample's
+            kernel = module._deviations
+            monkeypatch.setattr(module, "_deviations",
+                                lambda v, kernel=kernel: calls.append(v.shape[:-1]) or kernel(v))
         base, cfg = gapped_dataset(), ScreenConfig(p_values=True, replicates=9)
         unscaled = pairwise_screen(base, cfg)
         # column a's squared distances underflow or overflow unless it is scaled first
@@ -201,53 +212,53 @@ class TestPairwiseScreen:
             ds = replace(base, columns={**base.columns, "a": scale * base.columns["a"]})
             calls.clear()
             table = pairwise_screen(ds, cfg)
-            # pearson's deviations, like the distance matrices: once per cached column and
-            # group, and once per rebuilt side (see test_one_distance_matrix_per_column_and_group)
-            assert len(calls) == 4 + 4 + 2 + 4
+            # pearson's deviations, like the distance matrices: once per column and set of rows
+            # it is in (see test_one_distance_matrix_per_column_and_group), and no sample's again
+            assert calls == [(2,), (3,), (3,), (2,), (4,)]
             for r, u in zip(table.records, unscaled.records):
                 mask = ds.group_labels == r.group
                 a, b = ds.columns[r.var_a][mask], ds.columns[r.var_b][mask]
                 ok = np.isfinite(a) & np.isfinite(b)
                 stats = dcor(a[ok], b[ok])
                 assert (r.n, r.pearson) == (int(ok.sum()), stats.pearson)
-                if from_gram(ds, r):  # a BLAS product sums in its own order
-                    assert r.dcor == pytest.approx(stats.dcor, rel=1e-12)
-                else:
-                    assert r.dcor == stats.dcor
+                assert r.dcor == pytest.approx(stats.dcor, rel=1e-12)  # a BLAS product sums in its own order
                 assert r.p_value == u.p_value
-        # cache hits (full columns), one cached side (c with a full column), and
-        # a pairwise-drop pair whose rows differ from both cached columns (c, d)
+        # the three kinds of rows: the group's (full columns), a gapped column's own (c with
+        # a full column), and a pair's own, which differ from both columns' rows (c, d)
         assert {(r.var_a, r.var_b, r.n) for r in table.records if r.group == "g0"} >= {
             ("a", "b", 40), ("a", "c", 37), ("c", "d", 34)
         }
 
     def test_one_distance_matrix_per_column_and_group(self, monkeypatch):
-        calls = []
-        kernel = core._shift_distances  # one call per block of shifts: a single block at 40 rows
-        monkeypatch.setattr(
-            core, "_shift_distances", lambda data, *a: calls.append(len(data)) or kernel(data, *a)
-        )
+        calls = builds(monkeypatch)
+        per_pair = []
+        kernel = core._shift_distances  # the per-pair builds': none while the stacks fit
+        monkeypatch.setattr(core, "_shift_distances", lambda *a: per_pair.append(a) or kernel(*a))
         ds = gapped_dataset()
         full = {"a": ds.columns["a"], "b": ds.columns["b"], "e": ds.columns["a"] + 1.0}
         pairwise_screen(replace(ds, columns=full))
-        assert calls == [40] * 6  # 3 columns in each of 2 groups
+        assert calls == [(3, 40)] * 2  # 3 columns in each of 2 groups
         calls.clear()
         pairwise_screen(ds)
-        # g0: a, b, c, d cached; (a, c), (b, c) rebuild a or b at c's rows; (a, d), (b, d)
-        # likewise; (c, d) rebuilds both.  g1 has no gaps: one matrix per column.
-        assert len(calls) == 4 + 4 + 2 + 4
+        # Each column once per set of rows it is in.  g0: a and b on all rows; c and, restricted
+        # to c's rows, a and b; d, a and b at d's rows; c and d at the rows both have.  g1 has
+        # no gaps: one stack of its four columns.
+        assert calls == [(2, 40), (3, 37), (3, 37), (2, 34), (4, 40)]
+        assert per_pair == []
 
     def test_p_values_center_each_pair_once(self, monkeypatch):
-        calls = []
+        calls = builds(monkeypatch)
+        per_pair = []
         build = core.double_center
-        monkeypatch.setattr(core, "double_center", lambda *args: calls.append(args) or build(*args))
+        monkeypatch.setattr(core, "double_center", lambda *args: per_pair.append(args) or build(*args))
         ds = gapped_dataset()
         plain = pairwise_screen(ds, ScreenConfig(replicates=9, seed=4))
-        without = len(calls)
+        without = list(calls)
         calls.clear()
         table = pairwise_screen(ds, ScreenConfig(p_values=True, replicates=9, seed=4))
-        # the uncached pairs' objects serve dcor and the test alike
-        assert len(calls) == without == 4 + 4 + 2 + 4
+        # the stacks' forms serve the Gram products and the tests alike
+        assert calls == without == [(2, 40), (3, 37), (3, 37), (2, 34), (4, 40)]
+        assert per_pair == []
         for gi, group in enumerate(("g0", "g1")):
             mask = ds.group_labels == group
             records = [r for r in table.records if r.group == group]
@@ -268,23 +279,25 @@ class TestPairwiseScreen:
         assert (per_pair.metadata, per_pair.warnings) == (cached.metadata, cached.warnings)
         assert len(per_pair.records) == len(cached.records)
         for r, c in zip(per_pair.records, cached.records):
-            if from_gram(ds, c):  # all but dcor identical: a BLAS product sums in its own order
-                assert replace(r, dcor=c.dcor) == c
-                assert r.dcor == pytest.approx(c.dcor, rel=1e-12)
-            else:
-                assert r == c
+            # all but dcor identical: a BLAS product sums in its own order
+            assert replace(r, dcor=c.dcor) == c
+            assert r.dcor == pytest.approx(c.dcor, rel=1e-12)
 
     @pytest.mark.parametrize("n", [3, 4, 11, 12])
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
     def test_gram_records_agree_with_per_pair_dcor(self, n, data):
-        cols = data.draw(complete_columns(n))
+        cols = data.draw(screen_columns(n))
+        if sum(np.isfinite(v).all() for v in cols.values()) < len(cols):
+            cols["full"] = np.arange(float(n))  # every group of rows has a complete column
         table = pairwise_screen(Dataset(columns=cols, row_count=n))
-        assert len(table.records) == len(cols) * (len(cols) - 1) // 2
+        skipped = sum(w.startswith("pair ") for w in table.warnings)
+        assert len(table.records) + skipped == len(cols) * (len(cols) - 1) // 2
         for r in table.records:
-            x, y = cols[r.var_a], cols[r.var_b]
+            ok = np.isfinite(cols[r.var_a]) & np.isfinite(cols[r.var_b])
+            x, y = cols[r.var_a][ok], cols[r.var_b][ok]
             stats = dcor(x, y)
-            assert r.n == n
+            assert r.n == int(ok.sum()) >= 3
             assert r.flags == (() if stats.pearson is not None else ("degenerate-variance",))
             # dcor^2 = dcov^2 / (dVar dVar): an error of 1e-12 of the scale sum(|A * B|) / n^2 moves it
             # by at most 1e-12, and dcor itself by more only where it is near 0
@@ -293,26 +306,57 @@ class TestPairwiseScreen:
             if "const" in (r.var_a, r.var_b):
                 assert (r.dcor, r.pearson, r.flags) == (0.0, 0.0, ("degenerate-variance",))
 
+    def test_values_outside_a_pairs_rows_do_not_reach_it(self):
+        rng = np.random.default_rng(26)
+        x, y, z = rng.normal(size=(3, 200))
+        gone = rng.choice(200, 5, replace=False)
+        x[gone], y[gone] = 1e10, np.nan  # x is complete; its outliers are in the rows y misses
+        table = pairwise_screen(Dataset(columns={"x": x, "y": y, "z": z}, row_count=200))
+        ok = np.isfinite(y)
+        for r in table.records:
+            a, b = table.metadata["columns"].index(r.var_a), table.metadata["columns"].index(r.var_b)
+            u, v = (x, y, z)[a], (x, y, z)[b]
+            keep = ok if "y" in (r.var_a, r.var_b) else np.ones(200, dtype=bool)
+            stats = dcor(u[keep], v[keep])
+            assert (r.n, r.pearson) == (int(keep.sum()), stats.pearson)
+            assert r.dcor == pytest.approx(stats.dcor, rel=1e-12)
+
+    def test_column_constant_on_another_columns_rows(self):
+        a = np.array([1.0, 1.0, 2.0, 1.0, 1.0, 3.0, 1.0, 1.0])
+        b = np.array([0.5, 2.0, np.nan, -1.0, 4.0, np.nan, 3.0, 0.0])
+        c = np.arange(8.0)
+        table = pairwise_screen(Dataset(columns={"a": a, "b": b, "c": c}, row_count=8))
+        records = {(r.var_a, r.var_b): r for r in table.records}
+        # a is constant on b's rows, but not on its own
+        assert (records["a", "b"].n, records["a", "b"].dcor, records["a", "b"].pearson) == (6, 0.0, 0.0)
+        assert records["a", "b"].flags == ("degenerate-variance",)
+        assert records["a", "c"].flags == () and records["a", "c"].dcor > 0.0
+
     @pytest.mark.parametrize("corrupt", ["negative", "tiny negative", "nan"])
     def test_negative_or_nan_gram_entry_takes_inner(self, monkeypatch, corrupt):
         rng = np.random.default_rng(23)
         cols = {name: rng.normal(size=30) for name in "abc"}
         forms = {}
-        build = screening._scaled
+        build = screening._centered_columns
 
-        def corrupted(x, memory_budget=None, out=None):
-            c = build(x, memory_budget, out)
-            if out is not None and np.array_equal(x, cols["b"]):
-                if corrupt == "nan":
-                    out[0, 0] = np.nan
-                else:  # -A, times 1e-20 for a sum within inner's clamp
-                    f = 1.0 if corrupt == "negative" else 1e-20
-                    out *= -f
-                    c = CenteredMatrix(c.sample, -f * c.row_mean, -f * c.grand_mean, shifts=out, scale=c.scale)
-            forms[next(name for name, v in cols.items() if np.array_equal(x, v))] = c
-            return c
+        def corrupted(data, exponents, out):
+            stack, deviations, diagonals = build(data, exponents, out)
+            for k, x in enumerate(data):
+                name = next(name for name, v in cols.items() if np.array_equal(x, v))
+                c = stack[k]
+                if name == "b":
+                    if corrupt == "nan":
+                        out[k, 0, 0] = np.nan
+                    else:  # -A, times 1e-20 for a sum within inner's clamp
+                        f = 1.0 if corrupt == "negative" else 1e-20
+                        out[k] *= -f
+                        c = CenteredMatrix(c.sample, -f * c.row_mean, -f * c.grand_mean, shifts=out[k],
+                                           block_rows=c.block_rows, scale=c.scale)
+                        diagonals[k] = c.diagonal
+                stack[k] = forms[name] = c
+            return stack, deviations, diagonals
 
-        monkeypatch.setattr(screening, "_scaled", corrupted)
+        monkeypatch.setattr(screening, "_centered_columns", corrupted)
         if corrupt == "tiny negative":
             table = pairwise_screen(Dataset(columns=cols, row_count=30))
             for r in table.records:
@@ -332,47 +376,66 @@ class TestPairwiseScreen:
 
     def test_p_values_keep_order_seeds_and_values(self, monkeypatch):
         rng = np.random.default_rng(24)
-        cols = {name: rng.normal(size=60) for name in "dcba"}
-        cols["c"] = np.round(cols["b"] ** 2 * 3)  # tied integer values
+        complete = {name: rng.normal(size=60) for name in "dcba"}
+        complete["c"] = np.round(complete["b"] ** 2 * 3)  # tied integer values
+        # in g0, c misses 4 cells and a 3 in other rows; in g1, d and b have only row 46 in
+        # common, so that pair is skipped and the later pairs keep their seeds
+        gapped = {name: v.copy() for name, v in complete.items()}
+        gapped["c"][[0, 7, 8, 20]] = gapped["a"][[3, 4, 29]] = np.nan
+        gapped["d"][30:46] = gapped["b"][47:] = np.nan
         groups = np.array(["g0"] * 30 + ["g1"] * 30, dtype=object)
-        ds = Dataset(columns=cols, row_count=60, group_labels=groups)
+        names = list(complete)
+        pairs = [tuple(sorted((names[i], names[j]))) for i in range(4) for j in range(i + 1, 4)]
         cfg = ScreenConfig(p_values=True, replicates=19, seed=7)
-        table = pairwise_screen(ds, cfg)
-        monkeypatch.setattr(screening, "DEFAULT_MEMORY_BUDGET", 0)
-        per_pair = pairwise_screen(ds, cfg)
-        assert [(r.group, r.var_a, r.var_b, r.p_value) for r in table.records] == [
-            (r.group, r.var_a, r.var_b, r.p_value) for r in per_pair.records
-        ]
-        names = list(cols)
-        pairs = [sorted((names[i], names[j])) for i in range(4) for j in range(i + 1, 4)]
-        assert [(r.var_a, r.var_b) for r in table.records] == [tuple(p) for p in pairs] * 2
-        for k, r in enumerate(table.records):
-            gi, pair_index = divmod(k, len(pairs))
-            mask = groups == f"g{gi}"
-            seed = screening._pair_seed(7, gi, pair_index)
-            x, y = cols[r.var_a][mask], cols[r.var_b][mask]
-            assert r.p_value == permutation_test(x, y, 19, seed).p_value
+        for cols, skipped in ((complete, None), (gapped, ("g1", "b", "d"))):
+            ds = Dataset(columns=cols, row_count=60, group_labels=groups)
+            with monkeypatch.context() as m:
+                table = pairwise_screen(ds, cfg)
+                m.setattr(screening, "DEFAULT_MEMORY_BUDGET", 0)
+                per_pair = pairwise_screen(ds, cfg)
+            assert [(r.group, r.var_a, r.var_b, r.n, r.p_value) for r in table.records] == [
+                (r.group, r.var_a, r.var_b, r.n, r.p_value) for r in per_pair.records
+            ]
+            expected = [(f"g{gi}", *p) for gi in range(2) for p in pairs if (f"g{gi}", *p) != skipped]
+            assert [(r.group, r.var_a, r.var_b) for r in table.records] == expected
+            for r in table.records:
+                gi, pair_index = int(r.group[1]), pairs.index((r.var_a, r.var_b))
+                mask = groups == r.group
+                seed = screening._pair_seed(7, gi, pair_index)
+                x, y = cols[r.var_a][mask], cols[r.var_b][mask]
+                ok = np.isfinite(x) & np.isfinite(y)
+                assert r.p_value == permutation_test(x[ok], y[ok], 19, seed).p_value
 
     def test_group_buffer_bounds_traced_peak(self):
-        k, n = 33, 400
-        rng = np.random.default_rng(25)
-        ds = Dataset(columns={f"v{i:02d}": rng.normal(size=n) for i in range(k)}, row_count=n)
-        tracemalloc.start()
-        try:
-            pairwise_screen(ds)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # the (K, n//2, n) layouts (21.1 MB) and no copy of them, plus O(K n): about 8 vectors of n
-        # per column (its masked copy, scaled sample, row means, diagonal, deviations and their
-        # stacks) and _built's temporary block of 64 doubled shifts
-        assert peak <= k * 8 * n * (n // 2) + 8 * n * (8 * k + 128)
+        assert_screen_peak_within_layouts(gaps=0)
+
+    def test_gapped_group_buffer_bounds_traced_peak(self):
+        # three gapped columns: four sets of rows take turns in the one buffer
+        assert_screen_peak_within_layouts(gaps=3)
 
     def test_statistics_in_range(self, tmp_path):
         table = pairwise_screen(synthetic_dataset(tmp_path, n=50))
         for r in table.records:
             assert -1.0 <= r.pearson <= 1.0
             assert 0.0 <= r.dcor <= 1.0
+
+
+def assert_screen_peak_within_layouts(gaps: int, k: int = 33, n: int = 400):
+    rng = np.random.default_rng(25)
+    cols = {f"v{i:02d}": rng.normal(size=n) for i in range(k)}
+    for i in range(gaps):
+        cols[f"v{i:02d}"][rng.choice(n, 10, replace=False)] = np.nan
+    ds = Dataset(columns=cols, row_count=n)
+    tracemalloc.start()
+    try:
+        pairwise_screen(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the (K, n//2, n) layouts (21.1 MB) and no copy of them, plus O(K n): about 8 vectors of n
+    # per column (the group's columns and a stack's copy, scaled samples, deviations, row means
+    # and the sort's temporaries) and a temporary block of 64 doubled shifts
+    assert peak <= k * 8 * n * (n // 2) + 8 * n * (8 * k + 128)
 
 
 def make_table(records):

@@ -62,3 +62,13 @@ def test_perfbench_tracer_finds_the_traced_names(tmp_path):
     assert result["codes"] == [0, 0]
     assert result["layers"]["core.dcor.calls"] >= 1
     assert result["layers"]["inference.permutation_test.calls"] >= 1
+
+
+def test_perfbench_selftest_passes():
+    # screens a gapped figure-1-shaped table through the real CLI and checks every record
+    # against perfbench's own references, so a wrong masked record fails here first
+    out = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"], cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stdout[-2000:] + out.stderr[-2000:]
+    assert out.stdout.splitlines()[-1] == "selftest: ok"
