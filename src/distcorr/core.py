@@ -6,14 +6,14 @@ shifts of two of them (``_shift_sum``), as is every permutation replicate;
 ``gram`` takes those sums for every pair of K stored layouts at once.
 ``rows_that_fit`` is the one byte rule: a sample whose N x N float64 matrix
 fits its budget is materialized, its shifts stored (half of that matrix).
-Scalar samples are materialized as a stack of K columns at once
-(``_centered_columns``), whose row means come from the sorted deviations
-(``_row_means``), as do the sorted form's.  Otherwise a scalar sample takes
-the sorted form, whose inner product with another sorted form costs
-O(N log N) (``cross_term``), and a multivariate one streams.  ``dcov_sq``
-and ``dcor`` give each sample half the budget, and center it through
-``_scaled``, as does the permutation test; the screen stacks its columns
-with each one's own exponent.  Each sample is scaled by a power of two so
+Otherwise a scalar sample takes the sorted form, whose inner product with
+another sorted form costs O(N log N) (``cross_term``), and a multivariate
+one streams.  Every scalar form, of either kind, is built by
+``_centered_columns`` for a stack of K columns at once, with row means
+from the sorted deviations (``_row_means``).  ``dcov_sq`` and ``dcor``
+give each sample half the budget, and center it through ``_scaled``, as
+does the permutation test; the screen stacks its columns with each one's
+own exponent.  Each sample is scaled by a power of two so
 that no spread under- or overflows, and scaled back in results.
 """
 from __future__ import annotations
@@ -235,19 +235,19 @@ def double_center(x, memory_budget: int | None = None, out: np.ndarray | None = 
     """The CenteredMatrix of a sample, materialized if its N x N matrix fits ``memory_budget`` bytes.
 
     With no budget it is always materialized, its shifts written into
-    ``out`` if given: a scalar sample as the stack of one column
-    (``_centered_columns``), a multivariate one by ``_built``.  Otherwise
-    the sample takes the sorted form if scalar and streams if not, in
-    blocks of as many shifts as rows fit (at least one, at most
+    ``out`` if given.  A scalar sample is the stack of one column
+    (``_centered_columns``), materialized or in the sorted form.  A
+    multivariate one is built by ``_built``, and streams when it does not
+    fit, in blocks of as many shifts as rows fit (at least one, at most
     ``STREAM_BLOCK_ROWS``).  The sample is taken as it is, with scale 0.
     """
     s = as_sample(x)
     rows = s.n if memory_budget is None else rows_that_fit(s.n, memory_budget)
-    if rows < s.n:
-        block_rows = max(1, min(rows, STREAM_BLOCK_ROWS))
-        return _sorted(s, block_rows) if s.is_scalar else _built(s, block_rows, store=False)
     if s.is_scalar:
-        return _centered_columns(s.data.T, np.zeros(1, dtype=int), None if out is None else out[None])[0][0]
+        layouts = None if rows < s.n else True if out is None else out[None]
+        return _centered_columns(s.data.T, np.zeros(1, dtype=int), layouts)[0][0]
+    if rows < s.n:
+        return _built(s, max(1, min(rows, STREAM_BLOCK_ROWS)), store=False)
     return _built(s, s.n, True, out)
 
 
@@ -275,42 +275,38 @@ def _row_means(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return row, order
 
 
-def _sorted(s: Sample, block_rows: int) -> CenteredMatrix:
-    """The sorted form of a scalar sample: its order and row means, in O(n) memory."""
-    d, e = s.deviations
-    row, order = _row_means(d[None], np.array([e]))
-    return CenteredMatrix(s, row[0], float(row[0].mean()), block_rows=block_rows, order=order[0])
-
-
-def _centered_columns(data: np.ndarray, exponents: np.ndarray,
-                      out: np.ndarray | None = None) -> tuple[list[CenteredMatrix], np.ndarray, np.ndarray]:
-    """The stored CenteredMatrix of each row of ``data``, a (K, n) stack of scalar samples, as a list.
+def _centered_columns(data: np.ndarray, exponents: np.ndarray, out: np.ndarray | bool | None = True
+                      ) -> tuple[list[CenteredMatrix], np.ndarray, np.ndarray]:
+    """The CenteredMatrix of each row of ``data``, a (K, n) stack of scalar samples, as a list.
 
     Row j is taken times 2^-e_j, with e_j = ``exponents[j]`` as its
-    ``scale``.  The shift layouts are written into ``out``, a (K, n//2, n)
-    array (made here if None), in a fixed number of numpy calls for the
-    whole stack: the distances from one strided view over the stack joined
-    to itself, the row means from the sorted deviations (``_row_means``),
-    and the centering in place.  Each row takes the same arithmetic as it
-    would alone.  The (K, n) stacks of the samples' ``deviations`` and of
-    the forms' ``diagonal``s are returned with the list; each sample keeps
-    its row of the deviations.
+    ``scale``.  The row means come from the sorted deviations
+    (``_row_means``).  Given ``out``, a (K, n//2, n) array (True: made
+    here), the forms are stored: the shift layouts are written into it in
+    a fixed number of numpy calls for the whole stack, the distances from
+    one strided view over the stack joined to itself and the centering in
+    place.  With ``out`` None they are sorted forms, each keeping its row
+    of the sort order, in O(K n) memory.  Each row takes the same
+    arithmetic as it would alone.  The (K, n) stacks of the samples'
+    ``deviations`` and of the forms' ``diagonal``s are returned with the
+    list; each sample keeps its row of the deviations.
     """
     k, n = data.shape
     x = np.ldexp(data, -exponents[:, None])
-    out = np.empty((k, n // 2, n)) if out is None else out
-    np.abs(np.subtract(_shifted(x, 1, n // 2 + 1), x[:, None, :], out=out), out=out)
     d, e = _deviations(x)
-    row = _row_means(d, e)[0]
+    row, order = _row_means(d, e)
     grand = row.mean(axis=1)
-    _center(out, row, 1, grand[:, None, None])
+    if out is not None:
+        out = np.empty((k, n // 2, n)) if out is True else out
+        np.abs(np.subtract(_shifted(x, 1, n // 2 + 1), x[:, None, :], out=out), out=out)
+        _center(out, row, 1, grand[:, None, None])
     diagonals = grand[:, None] - 2.0 * row
     forms = []
     for j in range(k):
         s = Sample(x[j, :, None])
         s.__dict__["deviations"] = d[j], int(e[j])  # the cached_property's value
-        forms.append(CenteredMatrix(s, row[j], float(grand[j]), shifts=out[j], block_rows=n,
-                                    scale=int(exponents[j])))
+        layout = {"order": order[j]} if out is None else {"shifts": out[j], "block_rows": n}
+        forms.append(CenteredMatrix(s, row[j], float(grand[j]), scale=int(exponents[j]), **layout))
     return forms, d, diagonals
 
 

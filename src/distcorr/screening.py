@@ -5,27 +5,29 @@ computes Pearson and distance correlation for every unordered pair of
 selected columns within each group, applies configurable outlier flags,
 and emits plot-ready CSV or JSON.
 
-While a group's K centered columns fit the memory budget, its pairs are
-sorted by their complete-case rows, and each set of rows is read in one
-go: its distinct columns, restricted to those rows, are centered as one
-(K, n//2, n) stack into a buffer reused from set to set, and one
-``core.gram`` product over it gives all its pairs' dcov^2 and dVar.  A
-pair whose Gram entry comes out negative or NaN takes ``dcor`` on its two
-centered matrices from the stack, as do the permutation tests; all pairs
-of a group above the budget take ``dcor`` on their own two.
+A group's pairs are sorted by their complete-case rows, and each set of
+rows is read in one go: its distinct columns, restricted to those rows,
+are centered as one stack (``core._centered_columns``).  While a group's
+K centered columns fit the memory budget, the stack is stored as one
+(K, n//2, n) array in a buffer reused from set to set, and one
+``core.gram`` product over it gives all its pairs' dcov^2 and dVar; a pair
+whose Gram entry comes out negative or NaN takes ``dcor`` on its two
+centered matrices from the stack.  Above the budget the stack is of
+sorted forms, in O(K n) memory, and every pair takes ``dcor`` on its two.
+The permutation tests take the stack's forms either way.
 """
 from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .core import (DEFAULT_MEMORY_BUDGET, _centered_columns, _centered_pair, _unit_exponents, correlation,
-                   dcor, gram, rows_that_fit)
+from .core import DEFAULT_MEMORY_BUDGET, _centered_columns, _unit_exponents, correlation, dcor, gram, rows_that_fit
 from .errors import DataFormatError
 from .inference import permutation_test
 
@@ -75,15 +77,17 @@ class CorrelationTable:
 
 
 def _parse_cell(text: str, row: int, name: str) -> float:
+    """A cell's value: NaN if empty (the missing value), else a finite float."""
     text = text.strip()
     if text == "":
-        return float("nan")
+        return math.nan
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        raise DataFormatError(
-            f"non-numeric cell {text!r} at row {row}, column {name!r}"
-        ) from None
+        raise DataFormatError(f"non-numeric cell {text!r} at row {row}, column {name!r}") from None
+    if not math.isfinite(value):
+        raise DataFormatError(f"non-finite cell {text!r} at row {row}, column {name!r}")
+    return value
 
 
 def load_dataset(
@@ -96,7 +100,8 @@ def load_dataset(
 ) -> Dataset:
     """Parse a delimited file with a header row into numeric columns.
 
-    Missing values are empty cells.  Policy ``reject`` aborts on the first
+    Missing values are empty cells; any other cell must be a finite number,
+    and a column may be selected once.  Policy ``reject`` aborts on the first
     missing cell; ``drop-row`` removes rows with a missing value in any
     selected column and reports the count; ``pairwise-drop`` keeps NaNs
     for per-pair complete-case handling downstream.
@@ -131,9 +136,11 @@ def load_dataset(
     selected = list(columns) if columns is not None else [
         h for h in header if h != group_by
     ]
-    for name in selected:
+    for i, name in enumerate(selected):
         if name not in header:
             raise DataFormatError(f"selected column {name!r} not found in header")
+        if name in selected[:i]:
+            raise DataFormatError(f"column {name!r} selected twice")
 
     idx = {h: j for j, h in enumerate(header)}
     data = {
@@ -172,14 +179,15 @@ def _pair_seed(base_seed: int, group_index: int, pair_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _read_pairs(columns: np.ndarray, pairs: list, layouts: np.ndarray, p_value) -> dict:
+def _read_pairs(columns: np.ndarray, pairs: list, layouts: np.ndarray | None, p_value) -> dict:
     """(n, dcor, pearson, p-value) of each pair (pair index, i, j) of the rows of ``columns``, by pair index.
 
-    ``columns`` is a (K, n) stack of columns with no missing cell, centered
-    into ``layouts``, a (K, n//2, n) array.  One ``gram`` gives every
-    dcov^2 and dVar, under ``dcor``'s rules: the whole product, or only one
-    row of it when one column is in every pair (a star).  A pair whose
-    dcov^2 or either dVar^2 comes out negative or NaN takes ``dcor`` on its
+    ``columns`` is a (K, n) stack of columns with no missing cell.  Given
+    ``layouts``, a (K, n//2, n) array, they are centered into it and one
+    ``gram`` gives every dcov^2 and dVar, under ``dcor``'s rules: the whole
+    product, or only one row of it when one column is in every pair (a
+    star).  A pair whose dcov^2 or either dVar^2 comes out negative or NaN,
+    or every pair of sorted forms (``layouts`` None), takes ``dcor`` on its
     two forms, for the scale check of ``inner``.  Pearson takes
     ``pearson``'s sums of the scaled deviations' products, one column
     against all its partners at a time, so it is ``pearson``'s value (None
@@ -187,7 +195,7 @@ def _read_pairs(columns: np.ndarray, pairs: list, layouts: np.ndarray, p_value) 
     """
     forms, deviations, diagonals = _centered_columns(columns, _unit_exponents(columns), layouts)
     star = min(set.intersection(*({i, j} for _, i, j in pairs)), default=None)
-    vxy = gram(layouts, diagonals, star)
+    vxy = np.full((len(forms),) * 2, np.nan) if layouts is None else gram(layouts, diagonals, star)
     del diagonals  # freed before the Pearson products
     with np.errstate(invalid="ignore"):  # NaN for a negative or NaN dVar^2
         dvars, vxy = np.sqrt(np.diag(vxy)).tolist(), vxy.tolist()
@@ -273,29 +281,23 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
                 return None
             return permutation_test(a, b, config.replicates, _pair_seed(config.seed, gi, pair_index)).p_value
 
-        # Each set of rows is built as one stack while K + 2 n x n matrices fit the budget:
+        # Each set of rows is stored as one stack while K + 2 n x n matrices fit the budget:
         # each column stores half of one, which leaves room for a permutation test's block
-        # of y's distances.  Otherwise every pair builds its own two.
+        # of y's distances.  Otherwise it is a stack of sorted forms.
         stacked = rows_that_fit(rows, DEFAULT_MEMORY_BUDGET) >= (len(names) + 2) * rows
         results = {}
         for ok, n, members in by_rows.values():
             if not members:
                 continue
-            if not stacked:
-                for pair_index, a, b in members:
-                    x, y = _centered_pair(data[a][ok], data[b][ok])  # for dcor and the test alike
-                    stats = dcor(x, y)
-                    results[pair_index] = (n, stats.dcor, stats.pearson, p_value(pair_index, x, y))
-                continue
             cols = sorted({c for _, a, b in members for c in (a, b)})
             local = {c: k for k, c in enumerate(cols)}
-            size = len(cols) * (n // 2) * n
+            size = len(cols) * (n // 2) * n if stacked else 0
             if buffer.size < size:
                 del buffer  # freed before the larger one is allocated
                 buffer = np.empty(size)
             results.update(_read_pairs(
                 data[np.ix_(cols, ok)], [(pair_index, local[a], local[b]) for pair_index, a, b in members],
-                buffer[:size].reshape(len(cols), n // 2, n), p_value))
+                buffer[:size].reshape(len(cols), n // 2, n) if stacked else None, p_value))
         for pair_index, (var_a, var_b, _, _) in enumerate(pairs):
             if pair_index in results:
                 n, r, p, tested = results[pair_index]

@@ -21,6 +21,7 @@ from distcorr.core import (
 from distcorr.inference import permutation_test, power_simulation
 from distcorr.oracles import dcov_sq_oracle_sums, dcov_sq_via_integral
 from distcorr.screening import (
+    Dataset,
     emit_plot_data,
     flag_outliers,
     load_dataset,
@@ -233,6 +234,25 @@ def test_performance_sorted():
     print(f"  sorted N=100000: {elapsed:.2f}s, peak {peak / 2**20:.1f} MiB, "
           f"gap {gap / scale:.1e} of scale, {gap / materialized:.1e} of the value")
     report("performance-sorted", ok)
+
+
+def test_performance_screen_past_stack_rule():
+    # one group of 33 columns x 2000 rows: past the stack rule, (K + 2) 8 n^2 > 1 GiB
+    k, n = 33, 2000
+    rng = np.random.default_rng(6)
+    ds = Dataset(columns={f"v{i:02d}": rng.standard_normal(n) for i in range(k)}, row_count=n)
+    tracemalloc.start()
+    start = time.monotonic()
+    table = pairwise_screen(ds)
+    elapsed = time.monotonic() - start
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    # sorted forms of the stack and the O(n) vectors of cross_term: no n x n matrix or layout
+    bound = 8 * n * (8 * k + 128)
+    ok = elapsed < 10.0 and peak <= bound and len(table.records) == k * (k - 1) // 2
+    print(f"  screen K=33, N=2000 past the stack rule: {elapsed:.2f}s, peak {peak / 2**20:.1f} MiB "
+          f"(bound {bound / 2**20:.1f} MiB)")
+    report("performance-screen-past-stack-rule", ok)
 
 
 def test_performance_replicates():

@@ -199,6 +199,14 @@ class TestScreen:
         assert not out_path.exists()
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_column_selected_twice_exit_3(self, tmp_path, capsys):
+        data = self.fixture_33(tmp_path)
+        out_path = tmp_path / "out.csv"
+        code = main(["screen", "--data", data, "--columns", "v00,v00,v01", "--out", str(out_path), "--seed", "1"])
+        assert code == 3
+        assert "column 'v00' selected twice" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_grouped_json_output(self, tmp_path, capsys):
         path = tmp_path / "g.csv"
         rng = np.random.default_rng(1)
@@ -215,6 +223,23 @@ class TestScreen:
         assert code == 0
         assert out["groups"] == 2
         assert len(json.loads(open(out_path).read())) == 2
+
+
+@pytest.mark.parametrize("cell", ["inf", "1e999", "nan"])
+def test_non_finite_cell_exit_3(tmp_path, capsys, cell):
+    x = write_sample(tmp_path / "x.csv", [0.0, 1.0, cell, 2.0])
+    y = write_sample(tmp_path / "y.csv", [0.0, 1.0, 2.0, 3.0])
+    assert main(["compute", "--x", x, "--y", y]) == 3
+    assert f"non-finite cell '{cell}' at row 3, column 'x'" in capsys.readouterr().err
+    # under every missing policy: only an empty cell is missing
+    data = tmp_path / "data.csv"
+    data.write_text("a,b,c\n" + "".join(f"{i},{i % 3},{cell if i == 5 else -i}\n" for i in range(20)))
+    out_path = tmp_path / "out.csv"
+    for policy in ("reject", "drop-row", "pairwise-drop"):
+        argv = ["screen", "--data", str(data), "--out", str(out_path), "--missing-policy", policy, "--seed", "1"]
+        assert main(argv) == 3
+        assert f"non-finite cell '{cell}' at row 6, column 'c'" in capsys.readouterr().err
+        assert not out_path.exists()
 
 
 class TestPower:

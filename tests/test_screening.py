@@ -85,6 +85,18 @@ class TestLoadDataset:
         with pytest.raises(DataFormatError, match="cannot read"):
             load_dataset(tmp_path / "does-not-exist.csv")
 
+    @pytest.mark.parametrize("policy", screening.MISSING_POLICIES)
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "1e999", "nan"])
+    def test_non_finite_cell(self, tmp_path, policy, cell):
+        # an empty cell is the missing value; any other cell must be a finite number
+        path = write(tmp_path, f"a,b\n1,2\n3,{cell}\n4,5\n")
+        with pytest.raises(DataFormatError, match=f"non-finite cell '{cell}' at row 2, column 'b'"):
+            load_dataset(path, missing_policy=policy)
+
+    def test_column_selected_twice(self, tmp_path):
+        with pytest.raises(DataFormatError, match="column 'a' selected twice"):
+            load_dataset(write(tmp_path, COMPLETE), columns=["a", "a", "b"])
+
     def test_custom_delimiter(self, tmp_path):
         path = write(tmp_path, "a;b\n1;2\n3;4\n")
         ds = load_dataset(path, delimiter=";")
@@ -275,22 +287,28 @@ class TestPairwiseScreen:
         cfg = ScreenConfig(p_values=True, replicates=9, seed=4)
         cached = pairwise_screen(ds, cfg)
         monkeypatch.setattr(screening, "DEFAULT_MEMORY_BUDGET", 0)
-        per_pair = pairwise_screen(ds, cfg)
+        per_pair = pairwise_screen(ds, cfg)  # past the stack rule: sorted forms and per-pair dcor
         assert (per_pair.metadata, per_pair.warnings) == (cached.metadata, cached.warnings)
         assert len(per_pair.records) == len(cached.records)
         for r, c in zip(per_pair.records, cached.records):
-            # all but dcor identical: a BLAS product sums in its own order
+            # all but dcor identical: the sorted forms' cross term and a BLAS product round apart
             assert replace(r, dcor=c.dcor) == c
             assert r.dcor == pytest.approx(c.dcor, rel=1e-12)
 
-    @pytest.mark.parametrize("n", [3, 4, 11, 12])
+    @pytest.mark.parametrize("n, budget", [
+        pytest.param(n, budget, id=str(n) if budget else f"{n}-past-stack-rule")
+        for budget in (screening.DEFAULT_MEMORY_BUDGET, 0) for n in (3, 4, 11, 12)
+    ])
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
-    def test_gram_records_agree_with_per_pair_dcor(self, n, data):
+    def test_gram_records_agree_with_per_pair_dcor(self, n, budget, data):
+        # past the stack rule (budget 0) every set of rows takes sorted forms and per-pair dcor
         cols = data.draw(screen_columns(n))
         if sum(np.isfinite(v).all() for v in cols.values()) < len(cols):
             cols["full"] = np.arange(float(n))  # every group of rows has a complete column
-        table = pairwise_screen(Dataset(columns=cols, row_count=n))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(screening, "DEFAULT_MEMORY_BUDGET", budget)
+            table = pairwise_screen(Dataset(columns=cols, row_count=n))
         skipped = sum(w.startswith("pair ") for w in table.warnings)
         assert len(table.records) + skipped == len(cols) * (len(cols) - 1) // 2
         for r in table.records:
@@ -413,6 +431,15 @@ class TestPairwiseScreen:
         # three gapped columns: four sets of rows take turns in the one buffer
         assert_screen_peak_within_layouts(gaps=3)
 
+    def test_past_stack_rule_peak_is_linear(self, monkeypatch):
+        # past the stack rule every column is a sorted form: no shift layout is built
+        monkeypatch.setattr(screening, "DEFAULT_MEMORY_BUDGET", 0)
+        per_pair = []
+        kernel = core._shift_distances
+        monkeypatch.setattr(core, "_shift_distances", lambda *a: per_pair.append(a) or kernel(*a))
+        assert_screen_peak_within_layouts(gaps=1, k=6, n=2000, stacked=False)
+        assert per_pair == []
+
     def test_statistics_in_range(self, tmp_path):
         table = pairwise_screen(synthetic_dataset(tmp_path, n=50))
         for r in table.records:
@@ -420,7 +447,7 @@ class TestPairwiseScreen:
             assert 0.0 <= r.dcor <= 1.0
 
 
-def assert_screen_peak_within_layouts(gaps: int, k: int = 33, n: int = 400):
+def assert_screen_peak_within_layouts(gaps: int, k: int = 33, n: int = 400, stacked: bool = True):
     rng = np.random.default_rng(25)
     cols = {f"v{i:02d}": rng.normal(size=n) for i in range(k)}
     for i in range(gaps):
@@ -432,10 +459,12 @@ def assert_screen_peak_within_layouts(gaps: int, k: int = 33, n: int = 400):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the (K, n//2, n) layouts (21.1 MB) and no copy of them, plus O(K n): about 8 vectors of n
-    # per column (the group's columns and a stack's copy, scaled samples, deviations, row means
-    # and the sort's temporaries) and a temporary block of 64 doubled shifts
-    assert peak <= k * 8 * n * (n // 2) + 8 * n * (8 * k + 128)
+    # the (K, n//2, n) layouts (21.1 MB at K = 33, n = 400) and no copy of them, if stacked, plus
+    # O(K n): about 8 vectors of n per column (the group's columns and a stack's copy, scaled
+    # samples, deviations, row means and the sort's temporaries) and a temporary block of 64
+    # doubled shifts, or the O(n) vectors of cross_term
+    layouts = k * 8 * n * (n // 2) if stacked else 0
+    assert peak <= layouts + 8 * n * (8 * k + 128)
 
 
 def make_table(records):
