@@ -95,6 +95,13 @@ def _seed(text: str) -> int:
     return value
 
 
+def _delimiter(text: str) -> str:
+    """``--delimiter``: exactly one character, as the csv reader takes."""
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"must be exactly one character, got {text!r}")
+    return text
+
+
 def _add_quad_flags(parser):
     parser.add_argument("--quad-radius", type=float, default=200.0)
     parser.add_argument("--quad-panels", type=int, default=512)
@@ -228,14 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="distance and Pearson statistics for one pair of samples")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", type=_delimiter, default=",")
     p.add_argument("--memory-budget", type=_positive_int, default=DEFAULT_MEMORY_BUDGET)
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("test", help="permutation test of independence")
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", type=_delimiter, default=",")
     p.add_argument("--replicates", type=_positive_int, default=999)
     p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=cmd_test)
@@ -246,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-by", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--delimiter", default=",")
+    p.add_argument("--delimiter", type=_delimiter, default=",")
     p.add_argument("--missing-policy", choices=["reject", "drop-row", "pairwise-drop"], default="reject")
     p.add_argument("--p-values", action="store_true")
     p.add_argument("--replicates", type=_positive_int, default=199)

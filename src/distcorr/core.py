@@ -98,13 +98,16 @@ class CenteredMatrix:
         """sum(A * B) / n^2 of two sorted forms, and the sum of its three terms' magnitudes.
 
         sum(A * B) = C - 2 sum_k a_k. b_k. / n + a.. b.. / n^2 with C =
-        sum |x_k - x_l| |y_k - y_l|.  The terms are summed in the units of
-        the scaled deviations and scaled back at the end.
+        sum |x_k - x_l| |y_k - y_l|, which against itself is sum (x_k - x_l)^2
+        = 2 n sum x_k^2 - 2 (sum x_k)^2, in O(n).  The terms are summed in the
+        units of the scaled deviations and scaled back at the end.
         """
         (x, ex), (y, ey) = self.sample.deviations, other.sample.deviations
         n = self.n
+        c = (2.0 * n * float(np.dot(x, x)) - 2.0 * float(x.sum()) ** 2 if other is self
+             else cross_term(x, y, self.order, other.order))
         terms = (
-            cross_term(x, y, self.order, other.order) / (n * n),
+            c / (n * n),
             -2.0 * float(np.dot(np.ldexp(self.row_mean, -ex), np.ldexp(other.row_mean, -ey))) / n,
             math.ldexp(self.grand_mean, -ex) * math.ldexp(other.grand_mean, -ey),
         )

@@ -197,6 +197,21 @@ def test_figure1_count_anchor(tmp_path):
     report("figure1-count-anchor", ok)
 
 
+def test_performance_load(tmp_path):
+    # the paper's table: 15 352 galaxies x 33 columns, and a group column
+    path = tmp_path / "galaxies.csv"
+    _write_fixture(path, 15_352, groups=["t1", "t2", "t3", "t4"], seed=8)
+    tracemalloc.start()
+    start = time.monotonic()
+    ds = load_dataset(path, group_by="grp")
+    elapsed = time.monotonic() - start
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    ok = elapsed < 10.0 and peak <= 64 * 2**20 and ds.row_count == 15_352 and len(ds.columns) == 33
+    print(f"  load 15352 x 33 and a group column: {elapsed:.2f}s, peak {peak / 2**20:.1f} MiB")
+    report("performance-load", ok)
+
+
 def test_performance_streaming():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(10_000, 1))

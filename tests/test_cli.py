@@ -105,8 +105,13 @@ class TestCompute:
         (["verify", "singular", "--alpha", "1", "--x", "inf"], "^error: usage: x must be finite, got inf"),
         (["verify", "singular", "--alpha", "1", "--x", "1", "--quad-tolerance", "nan"],
          "^error: usage: tolerance must be"),
+        # the csv reader takes a delimiter of exactly one character
+        *[(argv + ["--delimiter", delimiter], "error: argument --delimiter: must be exactly one character")
+          for argv in (["compute", "--x", "x.csv", "--y", "y.csv"], ["test", "--x", "x.csv", "--y", "y.csv"],
+                       ["screen", "--data", "missing.csv", "--out", "unused.csv"])
+          for delimiter in ("", "ab")],
     ],
-    ids=[f"argv{i}" for i in range(21)],
+    ids=[f"argv{i}" for i in range(27)],
 )
 def test_invalid_argument_exit_2(capsys, argv, error):
     try:
@@ -240,6 +245,24 @@ def test_non_finite_cell_exit_3(tmp_path, capsys, cell):
         assert main(argv) == 3
         assert f"non-finite cell '{cell}' at row 6, column 'c'" in capsys.readouterr().err
         assert not out_path.exists()
+
+
+@pytest.mark.parametrize("content, error", [
+    (b"x\n1\n2\xff\n3\n", "is not UTF-8 text"),
+    # a quoted field longer than the csv reader's limit of 131072 characters
+    (b'x\n1\n"' + b"2" * 200_000 + b'"\n3\n', "unreadable CSV in .* at line 3: field larger than field limit"),
+], ids=["not-utf8", "csv-error"])
+def test_unreadable_file_exit_3(tmp_path, capsys, content, error):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(content)
+    y = write_sample(tmp_path / "y.csv", [0.0, 1.0, 2.0])
+    out_path = tmp_path / "out.csv"
+    for argv in (["compute", "--x", str(bad), "--y", y],
+                 ["screen", "--data", str(bad), "--out", str(out_path), "--seed", "1"]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and re.search(error, err)
+    assert not out_path.exists()
 
 
 class TestPower:

@@ -243,6 +243,10 @@ class TestDcovSq:
         # a budget of 8 bytes leaves no room for a row: both sides take the sorted form
         value = dcov_sq(x, y, memory_budget=8)
         assert abs(value - dcov_sq_oracle_sums(x, y)) <= 1e-12 * scale + np.finfo(np.float64).tiny
+        # against itself a sorted form takes sum (x_k - x_l)^2 in O(n), not cross_term
+        s = double_center(x, memory_budget=8)
+        scale = float(np.abs(dense(a) * dense(a)).mean())
+        assert abs(s.inner(s) - dcov_sq_oracle_sums(x, x)) <= 1e-12 * scale + np.finfo(np.float64).tiny
 
     def test_sorted_scalar_with_streaming_multivariate_matches_materialized(self):
         rng = np.random.default_rng(17)
@@ -263,6 +267,15 @@ class TestDcovSq:
             direct = float((np.abs(np.subtract.outer(x, x)) * np.abs(np.subtract.outer(y, y))).sum())
             orders = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
             assert cross_term(x, y, *orders) == pytest.approx(direct, rel=1e-13, abs=1e-13)
+
+    def test_sorted_dcor_takes_one_cross_term(self, monkeypatch):
+        calls = []
+        merge = core.cross_term
+        monkeypatch.setattr(core, "cross_term", lambda *a: calls.append(len(a[0])) or merge(*a))
+        rng = np.random.default_rng(23)
+        stats = dcor(rng.normal(size=50), rng.normal(size=50), memory_budget=8)
+        assert calls == [50]  # dcov^2 only: each dVar^2 is O(n)
+        assert stats.dcor > 0.0
 
     def test_sorted_dcor_traced_peak_is_linear(self):
         rng = np.random.default_rng(16)

@@ -97,6 +97,19 @@ class TestLoadDataset:
         with pytest.raises(DataFormatError, match="column 'a' selected twice"):
             load_dataset(write(tmp_path, COMPLETE), columns=["a", "a", "b"])
 
+    def test_cells_read_bit_for_bit_as_parse_cell_reads_them(self, tmp_path):
+        # a clean column is read without a call per cell; a gapped one cell by cell
+        odd = [" 1.5 ", "\t2e3", "+.5", "-0", "1_0", "\uff11\uff12"]  # the last is fullwidth 12
+        gapped = ["3", "", " -0.0 ", "", "4e-320", "5"]
+        path = tmp_path / "odd.csv"
+        path.write_text("a,b\n" + "".join(f"{a},{b}\n" for a, b in zip(odd, gapped)), encoding="utf-8")
+        ds = load_dataset(path, missing_policy="pairwise-drop")
+        for name, cells in (("a", odd), ("b", gapped)):
+            expected = np.array([screening._parse_cell(c, i, name) for i, c in enumerate(cells, start=1)])
+            assert ds.columns[name].dtype == np.float64
+            assert ds.columns[name].tobytes() == expected.tobytes()  # -0.0 and NaN alike
+        assert ds.columns["a"].tolist() == [1.5, 2000.0, 0.5, 0.0, 10.0, 12.0]
+
     def test_custom_delimiter(self, tmp_path):
         path = write(tmp_path, "a;b\n1;2\n3;4\n")
         ds = load_dataset(path, delimiter=";")
