@@ -5,8 +5,6 @@ from .core import (
     PairStats,
     dcor,
     dcov_sq,
-    dcov_sq_materialized,
-    dcov_sq_streaming,
     double_center,
     pairwise_distances,
     pearson,
@@ -53,9 +51,7 @@ __all__ = [
     "c_p",
     "dcor",
     "dcov_sq",
-    "dcov_sq_materialized",
     "dcov_sq_oracle_sums",
-    "dcov_sq_streaming",
     "dcov_sq_via_integral",
     "double_center",
     "ecf_joint",

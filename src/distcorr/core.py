@@ -201,32 +201,30 @@ def _centered_shifts(a: CenteredMatrix, s0: int, s1: int) -> np.ndarray:
     return _center(_shift_distances(a.sample.data, s0, s1), a.row_mean, s0, a.grand_mean)
 
 
-def _built(s: Sample, block_rows: int, store: bool, out: np.ndarray | None = None) -> CenteredMatrix:
+def _built(s: Sample, block_rows: int, store: bool) -> CenteredMatrix:
     """A sample's CenteredMatrix from one pass over its shift distances, stored if ``store``.
 
     Row k's sum takes the pairs (k, k + s) of each block, its column sums,
-    and the pairs (k - s, k) but for s = n/2, its mirrored sums.  The stored
-    shifts are written into ``out``, an (n//2, n) array, if given.  A
-    scalar sample that is stored takes ``_centered_columns`` instead.
+    and the pairs (k - s, k) but for s = n/2, its mirrored sums: the
+    block's row of shift s rotated s places right.  A scalar sample
+    that is stored takes ``_centered_columns`` instead.
     """
     n, h = s.n, s.n // 2
-    step = min(block_rows, _KERNEL_ROWS)  # the doubled copy is a temporary block too
-    shifts = (np.empty((h, n)) if out is None else out) if store else None
+    step = min(block_rows, _KERNEL_ROWS)
+    out = np.empty((h if store else min(step, h), n))  # the shifts, or one block reused: fresh ones fault in anew
     sums = np.zeros(n)
     for s0 in range(1, h + 1, step):
         s1 = min(s0 + step, h + 1)
-        d = _shift_distances(s.data, s0, s1, None if shifts is None else shifts[s0 - 1:])
+        d = _shift_distances(s.data, s0, s1, out[s0 - 1:] if store else out)
         sums += d.sum(axis=0)
-        twice = np.concatenate((d, d), axis=1)
-        # [i, k] = twice[i, n - s + k] = d[i, (k - s) % n] for s = s0 + i below n/2
-        sums += np.ndarray((max(0, min(s1, (n + 1) // 2) - s0), n), d.dtype, twice,
-                           (n - s0) * d.itemsize, (twice.strides[0] - d.itemsize, d.itemsize)).sum(axis=0)
-        del d, twice
+        for i, t in enumerate(range(s0, min(s1, (n + 1) // 2))):  # d[i, k] pairs k with (k + t) % n
+            sums[t:] += d[i, :n - t]
+            sums[:t] += d[i, n - t:]
     row = sums / n
     grand = float(row.mean())
     if store:
-        _center(shifts, row, 1, grand)
-    return CenteredMatrix(s, row, grand, shifts=shifts, block_rows=block_rows)
+        _center(out, row, 1, grand)
+    return CenteredMatrix(s, row, grand, shifts=out if store else None, block_rows=block_rows)
 
 
 def rows_that_fit(n: int, memory_budget: int) -> int:
@@ -234,24 +232,22 @@ def rows_that_fit(n: int, memory_budget: int) -> int:
     return memory_budget // (8 * max(n, 1))
 
 
-def double_center(x, memory_budget: int | None = None, out: np.ndarray | None = None) -> CenteredMatrix:
+def double_center(x, memory_budget: int | None = None) -> CenteredMatrix:
     """The CenteredMatrix of a sample, materialized if its N x N matrix fits ``memory_budget`` bytes.
 
-    With no budget it is always materialized, its shifts written into
-    ``out`` if given.  A scalar sample is the stack of one column
-    (``_centered_columns``), materialized or in the sorted form.  A
-    multivariate one is built by ``_built``, and streams when it does not
-    fit, in blocks of as many shifts as rows fit (at least one, at most
-    ``STREAM_BLOCK_ROWS``).  The sample is taken as it is, with scale 0.
+    With no budget it is always materialized.  A scalar sample is the stack
+    of one column (``_centered_columns``), materialized or in the sorted
+    form.  A multivariate one is built by ``_built``, and streams when it
+    does not fit, in blocks of as many shifts as rows fit (at least one, at
+    most ``STREAM_BLOCK_ROWS``).  The sample is taken as it is, with scale 0.
     """
     s = as_sample(x)
     rows = s.n if memory_budget is None else rows_that_fit(s.n, memory_budget)
     if s.is_scalar:
-        layouts = None if rows < s.n else True if out is None else out[None]
-        return _centered_columns(s.data.T, np.zeros(1, dtype=int), layouts)[0][0]
+        return _centered_columns(s.data.T, np.zeros(1, dtype=int), None if rows < s.n else True)[0][0]
     if rows < s.n:
         return _built(s, max(1, min(rows, STREAM_BLOCK_ROWS)), store=False)
-    return _built(s, s.n, True, out)
+    return _built(s, s.n, True)
 
 
 def _row_means(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -392,20 +388,6 @@ def _unscaled(v: float, e: int) -> float:
         return math.ldexp(v, e)
     except OverflowError:
         return math.inf
-
-
-def dcov_sq_materialized(x, y) -> float:
-    """Squared empirical distance covariance via explicit centered matrices."""
-    return double_center(x).inner(double_center(y))
-
-
-def dcov_sq_streaming(x, y, block_rows: int = STREAM_BLOCK_ROWS) -> float:
-    """Squared empirical distance covariance in O(block * N) memory.
-
-    Pass 1 finds the row means of both distance matrices; pass 2 rebuilds
-    centered shifts blockwise and accumulates the weighted sum(A_kl * B_kl).
-    """
-    return _built(as_sample(x), block_rows, False).inner(_built(as_sample(y), block_rows, False))
 
 
 def dcov_sq(x, y, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> float:

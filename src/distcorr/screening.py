@@ -29,7 +29,7 @@ from operator import itemgetter
 import numpy as np
 
 from .core import DEFAULT_MEMORY_BUDGET, _centered_columns, _unit_exponents, correlation, dcor, gram, rows_that_fit
-from .errors import DataFormatError
+from .errors import DataFormatError, UsageError
 from .inference import permutation_test
 
 MISSING_POLICIES = ("reject", "drop-row", "pairwise-drop")
@@ -129,6 +129,8 @@ def load_dataset(
         raise DataFormatError(
             f"unknown missing policy {missing_policy!r}; known: {', '.join(MISSING_POLICIES)}"
         )
+    if not (isinstance(delimiter, str) and len(delimiter) == 1):
+        raise UsageError(f"delimiter must be exactly one character, got {delimiter!r}")
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:

@@ -12,14 +12,16 @@ import pytest
 
 from distcorr.core import (
     DEFAULT_MEMORY_BUDGET,
+    STREAM_BLOCK_ROWS,
+    _built,
     dcor,
     dcov_sq,
-    dcov_sq_streaming,
     double_center,
     pearson,
 )
 from distcorr.inference import permutation_test, power_simulation
 from distcorr.oracles import dcov_sq_oracle_sums, dcov_sq_via_integral
+from distcorr.samples import as_sample
 from distcorr.screening import (
     Dataset,
     emit_plot_data,
@@ -50,7 +52,8 @@ def test_oracle_equivalence_algebraic():
         x = rng.normal(size=(n, int(rng.integers(1, 4))))
         y = rng.normal(size=(n, int(rng.integers(1, 4))))
         v_direct = dcov_sq(x, y)
-        v_stream = dcov_sq_streaming(x, y)
+        v_stream = _built(as_sample(x), STREAM_BLOCK_ROWS, False).inner(
+            _built(as_sample(y), STREAM_BLOCK_ROWS, False))
         v_sums = dcov_sq_oracle_sums(x, y)
         worst = max(
             worst,
@@ -218,7 +221,8 @@ def test_performance_streaming():
     y = rng.normal(size=(10_000, 1))
     tracemalloc.start()
     start = time.monotonic()
-    value = dcov_sq_streaming(x, y)
+    value = _built(as_sample(x), STREAM_BLOCK_ROWS, False).inner(
+        _built(as_sample(y), STREAM_BLOCK_ROWS, False))
     elapsed = time.monotonic() - start
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -241,7 +245,7 @@ def test_performance_sorted():
     # scale the oracle tests use: the three-term expansion cancels by a factor of
     # about n when x and y are independent, so the scale is sum(|A * B|) / n^2
     head_x, head_y = x[:3000], y[:3000]
-    a, b = double_center(head_x), double_center(head_y)  # as dcov_sq_materialized does
+    a, b = double_center(head_x), double_center(head_y)  # materialized: no budget
     scale = float(np.abs(dense(a) * dense(b)).mean())
     materialized = a.inner(b)
     gap = abs(dcov_sq(head_x, head_y, memory_budget=8) - materialized)

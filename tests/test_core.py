@@ -17,8 +17,6 @@ from distcorr.core import (
     cross_term,
     dcor,
     dcov_sq,
-    dcov_sq_materialized,
-    dcov_sq_streaming,
     double_center,
     gram,
     pairwise_distances,
@@ -30,7 +28,7 @@ from distcorr.errors import (
     DimensionMismatchError,
 )
 from distcorr.oracles import dcov_sq_oracle_sums
-from distcorr.samples import _deviations, _euclidean, _shift_distances
+from distcorr.samples import _deviations, _euclidean, _shift_distances, as_sample
 
 from centered import dense
 
@@ -73,6 +71,11 @@ def scalar_oracle_pairs(draw, max_n=40):
         return x * draw(st.sampled_from([1.0, 1e150, 1e-150]))
 
     return sample(), sample()
+
+
+def test_every_exported_name_resolves():
+    for name in distcorr.__all__:
+        assert getattr(distcorr, name, None) is not None, name
 
 
 class TestPairwiseDistances:
@@ -164,6 +167,22 @@ class TestDoubleCenter:
         assert np.all(np.abs(dense(c).sum(axis=0)) <= tol)
         assert np.all(np.abs(dense(c).sum(axis=1)) <= tol)
 
+    @pytest.mark.parametrize("budget, bound", [(None, 112), (3 * 8 * 2000 * 64, 170)], ids=["stored", "streaming"])
+    def test_multivariate_build_traced_peak(self, budget, bound):
+        # stored, or streaming in blocks of 64 shifts: above the layout, the kernel's
+        # temporaries and a few n-vectors, with no copy of a block for its mirrored sums
+        n = 2000
+        x = np.random.default_rng(24).standard_normal((n, 3))
+        tracemalloc.start()
+        try:
+            c = double_center(x, memory_budget=budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (c.shifts is None) == (budget is not None)
+        assert peak <= (0 if c.shifts is None else c.shifts.nbytes) + bound * 8 * n
+        expected = pairwise_distances(x).mean(axis=1)
+        assert np.all(np.abs(c.row_mean - expected) <= 1e-14 * expected)
 
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
@@ -218,8 +237,8 @@ class TestDcovSq:
             n = int(rng.integers(2, 200))
             x = rng.normal(size=(n, int(rng.integers(1, 4))))
             y = rng.normal(size=(n, int(rng.integers(1, 4))))
-            v_mat = dcov_sq_materialized(x, y)
-            v_str = dcov_sq_streaming(x, y, block_rows=37)
+            v_mat = double_center(x).inner(double_center(y))
+            v_str = core._built(as_sample(x), 37, False).inner(core._built(as_sample(y), 37, False))
             assert abs(v_mat - v_str) <= 1e-10 * max(abs(v_mat), 1e-30)
 
     @given(oracle_pairs())
@@ -231,7 +250,8 @@ class TestDcovSq:
         oracle = dcov_sq_oracle_sums(x, y)
         # below the smallest normal float64 there is no relative precision left
         tol = 1e-12 * scale + np.finfo(np.float64).tiny
-        for value in (dcov_sq_materialized(x, y), dcov_sq_streaming(x, y, block_rows=3)):
+        streamed = core._built(as_sample(x), 3, False).inner(core._built(as_sample(y), 3, False))
+        for value in (a.inner(b), streamed):
             assert abs(value - oracle) <= tol
 
     @given(scalar_oracle_pairs())
@@ -255,7 +275,7 @@ class TestDcovSq:
             a, b = double_center(x, memory_budget=3 * 8 * n), double_center(y, memory_budget=3 * 8 * n)
             assert a.order is not None and a.shifts is None
             assert b.order is None and b.shifts is None
-            expected = dcov_sq_materialized(x, y)
+            expected = double_center(x).inner(double_center(y))
             for value in (a.inner(b), b.inner(a)):
                 assert abs(value - expected) <= 1e-12 * max(expected, 1e-300)
 
@@ -328,7 +348,7 @@ class TestDcovSq:
         x, y = rng.normal(size=(64, 1)), rng.normal(size=(64, 1))
         # budget too small to materialize a 64x64 matrix
         v = dcov_sq(x, y, memory_budget=1024)
-        assert v == pytest.approx(dcov_sq_materialized(x, y), rel=1e-10)
+        assert v == pytest.approx(double_center(x).inner(double_center(y)), rel=1e-10)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(2)
@@ -412,9 +432,8 @@ class TestGram:
             return x + data.draw(st.sampled_from([0.0, 1e8]))
 
         xs = [sample() for _ in range(data.draw(st.integers(1, 4)))]
-        layouts = np.empty((len(xs), n // 2, n))
-        forms = [double_center(x, out=layouts[k]) for k, x in enumerate(xs)]
-        assert all(c.shifts.base is layouts for c in forms)  # built in place, not copied
+        forms = [double_center(x) for x in xs]
+        layouts = np.stack([c.shifts for c in forms])
         g = gram(layouts, np.array([c.diagonal for c in forms]))
         assert g.shape == (len(xs), len(xs))
         # a star takes row and column c and the diagonal, as the whole product does

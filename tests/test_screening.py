@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from distcorr import core, samples, screening
 from distcorr.core import CenteredMatrix, dcor
-from distcorr.errors import DataFormatError, DataQualityError
+from distcorr.errors import DataFormatError, DataQualityError, UsageError
 from distcorr.inference import permutation_test
 from distcorr.screening import (
     CorrelationTable,
@@ -56,6 +56,11 @@ class TestLoadDataset:
         ds = load_dataset(path, missing_policy="pairwise-drop")
         assert ds.row_count == 3
         assert np.isnan(ds.columns["a"][1])
+
+    @pytest.mark.parametrize("delimiter", ["", ";;", 1])
+    def test_delimiter_not_one_character(self, tmp_path, delimiter):
+        with pytest.raises(UsageError, match=f"got {delimiter!r}"):
+            load_dataset(write(tmp_path, COMPLETE), delimiter=delimiter)
 
     def test_ragged_row(self, tmp_path):
         path = write(tmp_path, "a,b\n1,2\n3\n")
