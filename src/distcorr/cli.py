@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import secrets
 import sys
 from dataclasses import asdict
@@ -128,6 +129,11 @@ def cmd_screen(args) -> int:
         raise UsageError(f"--low-dcor-percentile must be in [0, 100], got {args.low_dcor_percentile}")
     if not math.isfinite(args.nonlinear_gap):
         raise UsageError(f"--nonlinear-gap must be finite, got {args.nonlinear_gap}")
+    # checked before the screen runs, which with --p-values can take hours
+    if not os.path.basename(args.out) or os.path.isdir(args.out):  # "" or a trailing separator too
+        raise UsageError(f"--out {args.out!r} names a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        raise UsageError(f"--out {args.out!r} is in a directory that does not exist")
     seed = _resolve_seed(args.seed)
     dataset = load_dataset(
         args.data,
@@ -140,6 +146,10 @@ def cmd_screen(args) -> int:
         p_values=args.p_values, replicates=args.replicates, seed=seed
     )
     table = pairwise_screen(dataset, config)
+    for warning in table.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    if not table.records:
+        raise DataFormatError(f"every pair was skipped: none has {config.min_group_rows} complete rows in a group")
     table = flag_outliers(
         table,
         OutlierRule(
@@ -148,8 +158,6 @@ def cmd_screen(args) -> int:
         ),
     )
     emit_plot_data(table, args.format, args.out)
-    for warning in table.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
     _emit(
         {
             "out": args.out,

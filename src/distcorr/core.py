@@ -5,7 +5,7 @@ laid out by shift, and every statistic is one weighted sum over blocks of
 shifts of two of them (``_shift_sum``), as is every permutation replicate;
 ``gram`` takes those sums for every pair of K stored layouts at once.
 ``rows_that_fit`` is the one byte rule: a sample whose N x N float64 matrix
-fits its budget is materialized, its shifts stored (half of that matrix).
+fits its budget is materialized, its shifts stored (about half of that matrix).
 Otherwise a scalar sample takes the sorted form, whose inner product with
 another sorted form costs O(N log N) (``cross_term``), and a multivariate
 one streams.  Every scalar form, of either kind, is built by
@@ -47,7 +47,8 @@ class CenteredMatrix:
 
     m_k are a's row means (its column means too, as a is symmetric) and m
     is their mean.  ``shifts`` is A's shift layout when materialized,
-    [s - 1, k] = A_k,(k+s) mod n for s = 1..n//2, and None otherwise; ``order``
+    [s, k] = A_k,(k+s) mod n for s = 0..n//2, and None otherwise; its row 0
+    is the diagonal m - 2 m_k, as a_kk = 0.  ``order``
     sorts a scalar sample in the sorted form, and is None in the other two.
     ``sample`` is the data times 2^-scale, so ``dvar`` and ``inner`` are
     2^-scale and 2^-(scale + other.scale) times the data's.
@@ -70,27 +71,24 @@ class CenteredMatrix:
         """Distance variance dVar: the square root of the inner product with itself."""
         return float(np.sqrt(self.inner(self)))
 
-    @cached_property
-    def diagonal(self) -> np.ndarray:
-        """A_kk = m - 2 m_k, as a_kk = 0."""
-        return self.grand_mean - 2.0 * self.row_mean
-
     def _shift_rows(self, s0: int, s1: int) -> np.ndarray:
-        return _centered_shifts(self, s0, s1) if self.shifts is None else self.shifts[s0 - 1:s1 - 1]
+        return _centered_shifts(self, s0, s1) if self.shifts is None else self.shifts[s0:s1]
 
     def _shift_sum(self, rows, step: int, term=np.vdot) -> float:
-        """sum_s w_s term(A's row of shift s, the other's) over s = 1..n//2, in blocks of ``step``.
+        """sum_s w_s term(A's row of shift s, the other's) over s = 0..n//2, in blocks of ``step``.
 
         ``rows(s0, s1)`` gives the other's rows for s0 <= s < s1 (None: A's).  w_s = 2
-        counts the mirror shift n - s too, but s = n/2 is its own.
+        for 0 < s < n/2 counts the mirror shift n - s too; s = 0 (the diagonal)
+        and s = n/2 are their own, with w_s = 1.
         """
         total, n, h = 0.0, self.n, self.n // 2
-        for s0 in range(1, h + 1, step):
+        for s0 in range(0, h + 1, step):
             s1 = min(s0 + step, h + 1)
             a = self._shift_rows(s0, s1)
             b = a if rows is None else rows(s0, s1)
-            m = max(0, min(s1, (n + 1) // 2) - s0)  # shifts below n/2
-            total += 2.0 * term(a[:m], b[:m]) + term(a[m:], b[m:])
+            lo = int(s0 == 0)
+            hi = max(lo, min(s1, (n + 1) // 2) - s0)  # rows lo..hi - 1 are the shifts 0 < s < n/2
+            total += 2.0 * term(a[lo:hi], b[lo:hi]) + term(a[:lo], b[:lo]) + term(a[hi:], b[hi:])
             del a, b  # so that at most one block per side is alive at a time
         return float(total)
 
@@ -118,7 +116,7 @@ class CenteredMatrix:
 
         Two sorted forms take ``cross_term``, with the sum of the three
         terms' magnitudes as the scale.  Any other pair takes the weighted
-        shift sum plus the diagonal's, with sum(|A * B|) / n^2 as the scale.
+        shift sum, with sum(|A * B|) / n^2 as the scale.
         """
         nn = check_same_n(self, other) ** 2
         if self.order is not None and other.order is not None:
@@ -126,10 +124,9 @@ class CenteredMatrix:
         else:
             rows = None if other is self else other._shift_rows
             step = min(self.block_rows, other.block_rows)
-            total = (self._shift_sum(rows, step) + float(np.dot(self.diagonal, other.diagonal))) / nn
+            total = self._shift_sum(rows, step) / nn
             if total < 0.0:  # only a negative sum needs the scale
-                scale = (self._shift_sum(rows, step, _abs_dot)
-                         + float(np.abs(self.diagonal * other.diagonal).sum())) / nn
+                scale = self._shift_sum(rows, step, _abs_dot) / nn
         if total >= 0.0:
             return total
         if math.isnan(total) or total < -1e-12 * max(scale, 1.0):
@@ -140,29 +137,24 @@ class CenteredMatrix:
         return 0.0
 
 
-def gram(layouts: np.ndarray, diagonals: np.ndarray, star: int | None = None) -> np.ndarray:
+def gram(layouts: np.ndarray, star: int | None = None) -> np.ndarray:
     """``inner`` of every pair of K stored layouts at once, with no scale check: a K x K matrix.
 
-    ``layouts`` is the (K, n//2, n) stack of their ``shifts`` and ``diagonals``
-    the (K, n) stack of their ``diagonal``s.  Each sum is three BLAS products
-    on views: the shifts below n/2 count twice, as in ``_shift_sum``, then
-    s = n/2 (n even) and the diagonal once.  With ``star`` = c, only row and
-    column c and the diagonal are taken (one matrix-vector product per part,
+    ``layouts`` is the (K, n//2 + 1, n) stack of their ``shifts``.  Each sum
+    is three BLAS products over views of the flattened layouts, weighted as
+    in ``_shift_sum``: the shifts 0 < s < n/2 twice, then s = n/2 (n even)
+    and s = 0 once.  With ``star`` = c, only row and column c and each
+    layout against itself are taken (one matrix-vector product per part,
     and each layout's sum of squares); the other entries are NaN.
     """
-    k, h, n = layouts.shape
-    flat, below = layouts.reshape(k, h * n), ((n + 1) // 2 - 1) * n  # entries of the shifts below n/2
-    low, high = flat[:, :below], flat[:, below:]
+    k, rows, n = layouts.shape
+    flat, below = layouts.reshape(k, rows * n), (n + 1) // 2 * n  # the end of the shifts below n/2
+    parts = ((2.0, flat[:, n:below]), (1.0, flat[:, below:]), (1.0, flat[:, :n]))
     if star is None:
-        total = low @ low.T
-        total *= 2.0
-        total += high @ high.T
-        total += diagonals @ diagonals.T
-        return total / (n * n)
+        return sum(w * (p @ p.T) for w, p in parts) / (n * n)
     total = np.full((k, k), np.nan)
-    total[star] = total[:, star] = 2.0 * (low @ low[star]) + high @ high[star] + diagonals @ diagonals[star]
-    squares = [np.einsum("ij,ij->i", part, part) for part in (low, high, diagonals)]
-    np.fill_diagonal(total, 2.0 * squares[0] + squares[1] + squares[2])
+    total[star] = total[:, star] = sum(w * (p @ p[star]) for w, p in parts)
+    np.fill_diagonal(total, sum(w * np.einsum("ij,ij->i", p, p) for w, p in parts))
     return total / (n * n)
 
 
@@ -205,25 +197,25 @@ def _built(s: Sample, block_rows: int, store: bool) -> CenteredMatrix:
     """A sample's CenteredMatrix from one pass over its shift distances, stored if ``store``.
 
     Row k's sum takes the pairs (k, k + s) of each block, its column sums,
-    and the pairs (k - s, k) but for s = n/2, its mirrored sums: the
-    block's row of shift s rotated s places right.  A scalar sample
+    and the pairs (k - s, k) but for s = 0 and s = n/2, its mirrored sums:
+    the block's row of shift s rotated s places right.  A scalar sample
     that is stored takes ``_centered_columns`` instead.
     """
     n, h = s.n, s.n // 2
     step = min(block_rows, _KERNEL_ROWS)
-    out = np.empty((h if store else min(step, h), n))  # the shifts, or one block reused: fresh ones fault in anew
+    out = np.empty((h + 1 if store else min(step, h + 1), n))  # the layout, or one block reused: no fresh pages
     sums = np.zeros(n)
-    for s0 in range(1, h + 1, step):
+    for s0 in range(0, h + 1, step):
         s1 = min(s0 + step, h + 1)
-        d = _shift_distances(s.data, s0, s1, out[s0 - 1:] if store else out)
+        d = _shift_distances(s.data, s0, s1, out[s0:] if store else out)
         sums += d.sum(axis=0)
-        for i, t in enumerate(range(s0, min(s1, (n + 1) // 2))):  # d[i, k] pairs k with (k + t) % n
-            sums[t:] += d[i, :n - t]
-            sums[:t] += d[i, n - t:]
+        for t in range(max(s0, 1), min(s1, (n + 1) // 2)):  # d[t - s0, k] pairs k with (k + t) % n
+            sums[t:] += d[t - s0, :n - t]
+            sums[:t] += d[t - s0, n - t:]
     row = sums / n
     grand = float(row.mean())
     if store:
-        _center(out, row, 1, grand)
+        _center(out, row, 0, grand)
     return CenteredMatrix(s, row, grand, shifts=out if store else None, block_rows=block_rows)
 
 
@@ -275,20 +267,19 @@ def _row_means(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _centered_columns(data: np.ndarray, exponents: np.ndarray, out: np.ndarray | bool | None = True
-                      ) -> tuple[list[CenteredMatrix], np.ndarray, np.ndarray]:
+                      ) -> tuple[list[CenteredMatrix], np.ndarray]:
     """The CenteredMatrix of each row of ``data``, a (K, n) stack of scalar samples, as a list.
 
     Row j is taken times 2^-e_j, with e_j = ``exponents[j]`` as its
     ``scale``.  The row means come from the sorted deviations
-    (``_row_means``).  Given ``out``, a (K, n//2, n) array (True: made
+    (``_row_means``).  Given ``out``, a (K, n//2 + 1, n) array (True: made
     here), the forms are stored: the shift layouts are written into it in
     a fixed number of numpy calls for the whole stack, the distances from
     one strided view over the stack joined to itself and the centering in
     place.  With ``out`` None they are sorted forms, each keeping its row
     of the sort order, in O(K n) memory.  Each row takes the same
-    arithmetic as it would alone.  The (K, n) stacks of the samples'
-    ``deviations`` and of the forms' ``diagonal``s are returned with the
-    list; each sample keeps its row of the deviations.
+    arithmetic as it would alone.  The (K, n) stack of the samples'
+    ``deviations`` is returned with the list; each sample keeps its row.
     """
     k, n = data.shape
     x = np.ldexp(data, -exponents[:, None])
@@ -296,17 +287,16 @@ def _centered_columns(data: np.ndarray, exponents: np.ndarray, out: np.ndarray |
     row, order = _row_means(d, e)
     grand = row.mean(axis=1)
     if out is not None:
-        out = np.empty((k, n // 2, n)) if out is True else out
-        np.abs(np.subtract(_shifted(x, 1, n // 2 + 1), x[:, None, :], out=out), out=out)
-        _center(out, row, 1, grand[:, None, None])
-    diagonals = grand[:, None] - 2.0 * row
+        out = np.empty((k, n // 2 + 1, n)) if out is True else out
+        np.abs(np.subtract(_shifted(x, 0, n // 2 + 1), x[:, None, :], out=out), out=out)
+        _center(out, row, 0, grand[:, None, None])
     forms = []
     for j in range(k):
         s = Sample(x[j, :, None])
         s.__dict__["deviations"] = d[j], int(e[j])  # the cached_property's value
         layout = {"order": order[j]} if out is None else {"shifts": out[j], "block_rows": n}
         forms.append(CenteredMatrix(s, row[j], float(grand[j]), scale=int(exponents[j]), **layout))
-    return forms, d, diagonals
+    return forms, d
 
 
 def cross_term(x: np.ndarray, y: np.ndarray, x_order: np.ndarray, y_order: np.ndarray) -> float:

@@ -8,8 +8,8 @@ avoids the degenerate-denominator branch entirely.
 x's centered matrix A has rows and columns that sum to zero, so sum(A * B^perm) =
 sum_kl A_kl |y_perm(k) - y_perm(l)|.  So a replicate is the weighted shift sum
 that ``inner`` takes, of A against y[perm]'s distances at the same shifts (one
-strided view over y[perm] joined to itself), and no diagonal term: half of the
-n x n entries.
+strided view over y[perm] joined to itself): half of the n x n entries.  Shift
+0 of the distances is 0, so A's diagonal adds exactly 0.
 
 Determinism: every replicate b draws its permutation from a generator
 seeded by (seed, b), so replicates can run in any order (or in parallel)
@@ -71,7 +71,7 @@ def _permuted_dcov_sq(a: CenteredMatrix, y: np.ndarray, perm: np.ndarray, rows: 
                       work: tuple | None = None) -> float:
     """dcov^2(x, y[perm]) in blocks of ``rows`` shifts; ``work`` is ``_workspace(rows, y)``."""
     yp, n = y[perm], a.n
-    out, tmp = _workspace(min(rows, n // 2), y) if work is None else work
+    out, tmp = _workspace(min(rows, n // 2 + 1), y) if work is None else work
     total = a._shift_sum(lambda s0, s1: _shift_distances(yp, s0, s1, out, tmp), rows)
     if math.isnan(total):
         raise DataQualityError("a permutation replicate of dcov^2 came out NaN")
@@ -98,12 +98,12 @@ def permutation_test(x, y, replicates: int, seed: int) -> TestResult:
     n, h = ys.n, ys.n // 2
     # a block of shifts of y's distances and its temporary take 16 n bytes per shift,
     # and a rebuilt block of A's shift layout as much: at most half of the budget each
-    rows = min(h, STREAM_BLOCK_ROWS, max(1, rows_that_fit(n, DEFAULT_MEMORY_BUDGET // 4)))
+    rows = min(h + 1, STREAM_BLOCK_ROWS, max(1, rows_that_fit(n, DEFAULT_MEMORY_BUDGET // 4)))
     left = DEFAULT_MEMORY_BUDGET - 16 * n * rows
     a = _scaled(x, left)
     check_same_n(a, ys)
-    if a.shifts is None and 8 * n * h <= left:  # the layout fits next to y's block: built once
-        a = replace(a, shifts=_centered_shifts(a, 1, h + 1))
+    if a.shifts is None and 8 * n * (h + 1) <= left:  # the layout fits next to y's block: built once
+        a = replace(a, shifts=_centered_shifts(a, 0, h + 1))
     work = _workspace(rows, ys.data)
     observed = _permuted_dcov_sq(a, ys.data, np.arange(n), rows, work)
     exceed = _exceedances(

@@ -9,7 +9,7 @@ A group's pairs are sorted by their complete-case rows, and each set of
 rows is read in one go: its distinct columns, restricted to those rows,
 are centered as one stack (``core._centered_columns``).  While a group's
 K centered columns fit the memory budget, the stack is stored as one
-(K, n//2, n) array in a buffer reused from set to set, and one
+(K, n//2 + 1, n) array in a buffer reused from set to set, and one
 ``core.gram`` product over it gives all its pairs' dcov^2 and dVar; a pair
 whose Gram entry comes out negative or NaN takes ``dcor`` on its two
 centered matrices from the stack.  Above the budget the stack is of
@@ -119,7 +119,8 @@ def load_dataset(
 ) -> Dataset:
     """Parse a delimited file with a header row into numeric columns.
 
-    Missing values are empty cells; any other cell must be a finite number,
+    The file is UTF-8 text, with or without a byte-order mark.  Missing
+    values are empty cells; any other cell must be a finite number,
     and a column may be selected once.  Policy ``reject`` aborts on the first
     missing cell; ``drop-row`` removes rows with a missing value in any
     selected column and reports the count; ``pairwise-drop`` keeps NaNs
@@ -132,7 +133,7 @@ def load_dataset(
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise UsageError(f"delimiter must be exactly one character, got {delimiter!r}")
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from None
     with fh:
@@ -201,7 +202,7 @@ def _read_pairs(columns: np.ndarray, pairs: list, layouts: np.ndarray | None, p_
     """(n, dcor, pearson, p-value) of each pair (pair index, i, j) of the rows of ``columns``, by pair index.
 
     ``columns`` is a (K, n) stack of columns with no missing cell.  Given
-    ``layouts``, a (K, n//2, n) array, they are centered into it and one
+    ``layouts``, a (K, n//2 + 1, n) array, they are centered into it and one
     ``gram`` gives every dcov^2 and dVar, under ``dcor``'s rules: the whole
     product, or only one row of it when one column is in every pair (a
     star).  A pair whose dcov^2 or either dVar^2 comes out negative or NaN,
@@ -211,10 +212,9 @@ def _read_pairs(columns: np.ndarray, pairs: list, layouts: np.ndarray | None, p_
     against all its partners at a time, so it is ``pearson``'s value (None
     for a zero norm).  ``p_value(pair index, a, b)`` takes the two forms.
     """
-    forms, deviations, diagonals = _centered_columns(columns, _unit_exponents(columns), layouts)
+    forms, deviations = _centered_columns(columns, _unit_exponents(columns), layouts)
     star = min(set.intersection(*({i, j} for _, i, j in pairs)), default=None)
-    vxy = np.full((len(forms),) * 2, np.nan) if layouts is None else gram(layouts, diagonals, star)
-    del diagonals  # freed before the Pearson products
+    vxy = np.full((len(forms),) * 2, np.nan) if layouts is None else gram(layouts, star)
     with np.errstate(invalid="ignore"):  # NaN for a negative or NaN dVar^2
         dvars, vxy = np.sqrt(np.diag(vxy)).tolist(), vxy.tolist()
     norms = np.sqrt((deviations * deviations).sum(axis=1))
@@ -309,13 +309,13 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
                 continue
             cols = sorted({c for _, a, b in members for c in (a, b)})
             local = {c: k for k, c in enumerate(cols)}
-            size = len(cols) * (n // 2) * n if stacked else 0
+            size = len(cols) * (n // 2 + 1) * n if stacked else 0
             if buffer.size < size:
                 del buffer  # freed before the larger one is allocated
                 buffer = np.empty(size)
             results.update(_read_pairs(
                 data[np.ix_(cols, ok)], [(pair_index, local[a], local[b]) for pair_index, a, b in members],
-                buffer[:size].reshape(len(cols), n // 2, n) if stacked else None, p_value))
+                buffer[:size].reshape(len(cols), n // 2 + 1, n) if stacked else None, p_value))
         for pair_index, (var_a, var_b, _, _) in enumerate(pairs):
             if pair_index in results:
                 n, r, p, tested = results[pair_index]

@@ -3,9 +3,9 @@ import numpy as np
 
 
 def dense(c):
-    """A from its stored shifts, their mirrors and its diagonal m - 2 m_k."""
+    """A from its stored shifts s = 0..n//2 and their mirrors: row 0 is its diagonal."""
     n, k = c.n, np.arange(c.n)
-    a = np.diag(c.grand_mean - 2.0 * c.row_mean)
-    for s in range(1, n // 2 + 1):
-        a[k, (k + s) % n] = a[(k + s) % n, k] = c.shifts[s - 1]
+    a = np.empty((n, n))
+    for s in range(n // 2 + 1):
+        a[k, (k + s) % n] = a[(k + s) % n, k] = c.shifts[s]
     return a

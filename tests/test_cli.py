@@ -212,6 +212,33 @@ class TestScreen:
         assert "column 'v00' selected twice" in capsys.readouterr().err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("out, error", [
+        ("{tmp}", "names a directory"),
+        ("", "names a directory"),
+        ("{tmp}/missing/", "names a directory"),
+        ("{tmp}/missing/out.csv", "is in a directory that does not exist"),
+    ], ids=["out-is-a-directory", "out-empty", "out-trailing-separator", "out-in-missing-directory"])
+    def test_unusable_out_exit_2_before_loading(self, tmp_path, capsys, monkeypatch, out, error):
+        data = self.fixture_33(tmp_path)
+        out_path = out.format(tmp=tmp_path)
+        loads = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *a, **k: loads.append(a))
+        code = main(["screen", "--data", data, "--out", out_path, "--seed", "1"])
+        assert code == 2 and loads == []
+        assert f"--out {out_path!r} {error}" in capsys.readouterr().err
+
+    def test_every_pair_skipped_exit_3_with_warnings(self, tmp_path, capsys):
+        # a and b share no complete row under pairwise-drop
+        data = tmp_path / "gapped.csv"
+        data.write_text("a,b\n" + "".join(f"{i},\n" for i in range(5)) + "".join(f",{i}\n" for i in range(5)))
+        out_path = tmp_path / "out.csv"
+        argv = ["screen", "--data", str(data), "--out", str(out_path), "--missing-policy", "pairwise-drop", "--seed", "1"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "warning: pair (a, b) in group 'all' skipped: only 0 complete rows" in err
+        assert "every pair was skipped: none has 3 complete rows in a group" in err
+        assert not out_path.exists()
+
     def test_grouped_json_output(self, tmp_path, capsys):
         path = tmp_path / "g.csv"
         rng = np.random.default_rng(1)

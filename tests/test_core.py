@@ -154,9 +154,24 @@ class TestDoubleCenter:
     def test_hand_two_point(self):
         c = double_center([[0.0], [3.0]])
         assert np.allclose(dense(c), [[-1.5, 1.5], [1.5, -1.5]], atol=1e-15)
-        assert c.shifts.tolist() == [[1.5, 1.5]]
+        assert c.shifts.tolist() == [[-1.5, -1.5], [1.5, 1.5]]
         assert c.row_mean.tolist() == [1.5, 1.5]
         assert c.grand_mean == 1.5
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_layout_row_zero_is_the_diagonal(self, n):
+        # A_kk = m - 2 m_k bit for bit, on every kind of layout: shift 0's distances are 0
+        rng = np.random.default_rng(n)
+        stack = rng.normal(size=(3, n)) * np.array([[1e-3], [1.0], [1e5]]) + 1e8
+        x = rng.normal(size=(n, 3))
+        stored = core._centered_columns(stack, core._unit_exponents(stack))[0] + [core._built(as_sample(x), n, True)]
+        streaming = double_center(x, memory_budget=3 * 8 * n)
+        sorted_form = double_center(stack[1], memory_budget=8)
+        assert streaming.shifts is None and sorted_form.order is not None
+        layouts = [(c, c.shifts) for c in stored] + [
+            (c, core._centered_shifts(c, 0, 1)) for c in (streaming, sorted_form)]
+        for c, layout in layouts:
+            assert np.array_equal(layout[0], c.grand_mean - 2.0 * c.row_mean)
 
     @given(finite_samples())
     @settings(max_examples=50, deadline=None)
@@ -197,7 +212,7 @@ class TestDoubleCenter:
                         + data.draw(st.sampled_from([0.0, 1e8])))
         stack = np.array(rows)
         exponents = core._unit_exponents(stack)
-        forms, deviations, diagonals = core._centered_columns(stack, exponents)
+        forms, deviations = core._centered_columns(stack, exponents)
         for j, (x, c) in enumerate(zip(rows, forms)):
             alone = core._scaled(x)
             assert c.scale == alone.scale == exponents[j]
@@ -205,7 +220,7 @@ class TestDoubleCenter:
             assert np.array_equal(c.shifts, alone.shifts)
             assert np.array_equal(c.row_mean, alone.row_mean) and c.grand_mean == alone.grand_mean
             assert np.array_equal(deviations[j], c.sample.deviations[0])
-            assert np.array_equal(diagonals[j], c.diagonal) and np.array_equal(diagonals[j], alone.diagonal)
+            assert np.array_equal(c.shifts[0], c.grand_mean - 2.0 * c.row_mean)
             d, e = _deviations(alone.sample.data[:, 0])
             assert np.array_equal(d, deviations[j]) and e == c.sample.deviations[1]
 
@@ -379,7 +394,7 @@ class TestInner:
         # a budget of three rows per block
         left = double_center(x, memory_budget=3 * 8 * 40) if streaming_self else a
         assert (left.shifts is None) == streaming_self
-        # -A: its shifts and its diagonal m - 2 m_k negated
+        # -A: its shifts, the diagonal m - 2 m_k among them, negated
         flipped = CenteredMatrix(a.sample, -a.row_mean, -a.grand_mean, shifts=-a.shifts)
         assert np.array_equal(dense(flipped), -dense(a))
         with pytest.raises(DataQualityError, match="significantly negative"):
@@ -434,11 +449,11 @@ class TestGram:
         xs = [sample() for _ in range(data.draw(st.integers(1, 4)))]
         forms = [double_center(x) for x in xs]
         layouts = np.stack([c.shifts for c in forms])
-        g = gram(layouts, np.array([c.diagonal for c in forms]))
+        g = gram(layouts)
         assert g.shape == (len(xs), len(xs))
         # a star takes row and column c and the diagonal, as the whole product does
         c = data.draw(st.integers(0, len(xs) - 1))
-        star = gram(layouts, np.array([c.diagonal for c in forms]), star=c)
+        star = gram(layouts, star=c)
         taken = np.eye(len(xs), dtype=bool)
         taken[c] = taken[:, c] = True
         assert np.isnan(star[~taken]).all()

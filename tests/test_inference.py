@@ -125,7 +125,7 @@ class TestPermutationTest:
         a = double_center(x)
         scale = float(np.abs(dense(a) * dense(double_center(y[perm]))).mean())
         oracle = dcov_sq_oracle_sums(x, y[perm])
-        for rows in range(1, n // 2 + 1):
+        for rows in range(1, n // 2 + 2):
             for kept in (a, replace(a, shifts=None)):
                 value = inference._permuted_dcov_sq(kept, y, perm, rows)
                 assert abs(value - oracle) <= 1e-12 * scale + np.finfo(np.float64).tiny
@@ -138,11 +138,11 @@ class TestPermutationTest:
             assert np.allclose(a.row_mean, d.mean(axis=1), rtol=1e-15, atol=0.0)
             # the n x n matrix centered in core._center's order, with the same row means
             full = d - a.row_mean[:, None] - a.row_mean[None, :] + a.grand_mean
-            rebuilt = core._centered_shifts(a, 1, n // 2 + 1)
+            rebuilt = core._centered_shifts(a, 0, n // 2 + 1)
             k = np.arange(n)
-            for s in range(1, n // 2 + 1):
-                assert np.array_equal(a.shifts[s - 1], full[k, (k + s) % n])
-                assert np.array_equal(rebuilt[s - 1], full[k, (k + s) % n])
+            for s in range(n // 2 + 1):
+                assert np.array_equal(a.shifts[s], full[k, (k + s) % n])
+                assert np.array_equal(rebuilt[s], full[k, (k + s) % n])
 
     def test_tiny_budget_rebuilds_c_for_each_replicate(self, monkeypatch):
         rng = np.random.default_rng(9)
@@ -153,8 +153,8 @@ class TestPermutationTest:
         monkeypatch.setattr(core, "_centered_shifts", lambda *a: calls.append(a[1:]) or build(*a))
         monkeypatch.setattr(inference, "DEFAULT_MEMORY_BUDGET", 1000)
         res = permutation_test(x, y, replicates=9, seed=3)
-        # one shift per block (15 blocks), rebuilt for the statistic and each replicate
-        assert calls == [(s, s + 1) for s in range(1, 16)] * 10
+        # one shift per block (16 blocks, from shift 0), rebuilt for the statistic and each replicate
+        assert calls == [(s, s + 1) for s in range(16)] * 10
         assert res.exceed_count == expected.exceed_count
         assert res.statistic == pytest.approx(expected.statistic, rel=1e-12)
 
@@ -167,7 +167,7 @@ class TestPermutationTest:
         monkeypatch.setattr(inference, "_workspace", lambda *a: made.append(build(*a)) or made[-1])
         res = permutation_test(x, y, replicates=9, seed=4)
         # y's shift block and its temporary are allocated once, for the statistic and every replicate
-        assert len(made) == 1 and made[0][0].shape == made[0][1].shape == (15, 30)
+        assert len(made) == 1 and made[0][0].shape == made[0][1].shape == (16, 30)
         assert res == expected
 
     def test_statistic_is_the_identity_replicate(self, monkeypatch):

@@ -115,6 +115,15 @@ class TestLoadDataset:
             assert ds.columns[name].tobytes() == expected.tobytes()  # -0.0 and NaN alike
         assert ds.columns["a"].tolist() == [1.5, 2000.0, 0.5, 0.0, 10.0, 12.0]
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path):
+        # spreadsheet "CSV UTF-8" files start with a BOM
+        grouped, plain = tmp_path / "grouped.csv", tmp_path / "plain.csv"
+        grouped.write_text("g,a,b\nred,1,2\nblue,3,4\n", encoding="utf-8-sig")
+        plain.write_text("a,b\n1,2\n3,4\n", encoding="utf-8-sig")
+        ds = load_dataset(grouped, group_by="g")
+        assert list(ds.columns) == ["a", "b"] and list(ds.group_labels) == ["red", "blue"]
+        assert load_dataset(plain, columns=["a"]).columns["a"].tolist() == [1.0, 3.0]
+
     def test_custom_delimiter(self, tmp_path):
         path = write(tmp_path, "a;b\n1;2\n3;4\n")
         ds = load_dataset(path, delimiter=";")
@@ -376,7 +385,7 @@ class TestPairwiseScreen:
         build = screening._centered_columns
 
         def corrupted(data, exponents, out):
-            stack, deviations, diagonals = build(data, exponents, out)
+            stack, deviations = build(data, exponents, out)
             for k, x in enumerate(data):
                 name = next(name for name, v in cols.items() if np.array_equal(x, v))
                 c = stack[k]
@@ -388,9 +397,8 @@ class TestPairwiseScreen:
                         out[k] *= -f
                         c = CenteredMatrix(c.sample, -f * c.row_mean, -f * c.grand_mean, shifts=out[k],
                                            block_rows=c.block_rows, scale=c.scale)
-                        diagonals[k] = c.diagonal
                 stack[k] = forms[name] = c
-            return stack, deviations, diagonals
+            return stack, deviations
 
         monkeypatch.setattr(screening, "_centered_columns", corrupted)
         if corrupt == "tiny negative":
@@ -477,10 +485,10 @@ def assert_screen_peak_within_layouts(gaps: int, k: int = 33, n: int = 400, stac
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the (K, n//2, n) layouts (21.1 MB at K = 33, n = 400) and no copy of them, if stacked, plus
-    # O(K n): about 8 vectors of n per column (the group's columns and a stack's copy, scaled
-    # samples, deviations, row means and the sort's temporaries) and a temporary block of 64
-    # doubled shifts, or the O(n) vectors of cross_term
+    # the layouts' shifts 1..n//2 (21.1 MB at K = 33, n = 400) and no copy of them, if stacked,
+    # plus O(K n): about 8 vectors of n per column (the layouts' rows of shift 0, the group's
+    # columns and a stack's copy, scaled samples, deviations, row means and the sort's
+    # temporaries) and a temporary block of 64 doubled shifts, or the O(n) vectors of cross_term
     layouts = k * 8 * n * (n // 2) if stacked else 0
     assert peak <= layouts + 8 * n * (8 * k + 128)
 
