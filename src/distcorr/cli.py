@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import secrets
 import sys
@@ -29,6 +28,9 @@ from .inference import SCENARIOS, permutation_test, power_simulation
 from .oracles import QuadratureSpec, dcov_sq_oracle_sums, dcov_sq_via_integral
 from .samples import as_sample
 from .screening import (
+    FORMATS,
+    MIN_COMPLETE_ROWS,
+    MISSING_POLICIES,
     OutlierRule,
     ScreenConfig,
     emit_plot_data,
@@ -103,12 +105,6 @@ def _delimiter(text: str) -> str:
     return text
 
 
-def _add_quad_flags(parser):
-    parser.add_argument("--quad-radius", type=float, default=200.0)
-    parser.add_argument("--quad-panels", type=int, default=512)
-    parser.add_argument("--quad-tolerance", type=float, default=1e-2)
-
-
 def cmd_compute(args) -> int:
     x = _load_sample(args.x, args.delimiter)
     y = _load_sample(args.y, args.delimiter)
@@ -125,11 +121,11 @@ def cmd_test(args) -> int:
 
 
 def cmd_screen(args) -> int:
-    if not 0.0 <= args.low_dcor_percentile <= 100.0:
-        raise UsageError(f"--low-dcor-percentile must be in [0, 100], got {args.low_dcor_percentile}")
-    if not math.isfinite(args.nonlinear_gap):
-        raise UsageError(f"--nonlinear-gap must be finite, got {args.nonlinear_gap}")
-    # checked before the screen runs, which with --p-values can take hours
+    # everything is checked before the screen runs, which with --p-values can take hours
+    rule = OutlierRule(nonlinear_gap=args.nonlinear_gap, low_dcor_percentile=args.low_dcor_percentile)
+    columns = None if args.columns is None else [name.strip() for name in args.columns.split(",")]
+    if columns is not None and not all(columns):
+        raise UsageError(f"--columns {args.columns!r} names an empty column")
     if not os.path.basename(args.out) or os.path.isdir(args.out):  # "" or a trailing separator too
         raise UsageError(f"--out {args.out!r} names a directory")
     if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
@@ -139,7 +135,7 @@ def cmd_screen(args) -> int:
         args.data,
         delimiter=args.delimiter,
         group_by=args.group_by,
-        columns=args.columns.split(",") if args.columns else None,
+        columns=columns,
         missing_policy=args.missing_policy,
     )
     config = ScreenConfig(
@@ -149,14 +145,8 @@ def cmd_screen(args) -> int:
     for warning in table.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if not table.records:
-        raise DataFormatError(f"every pair was skipped: none has {config.min_group_rows} complete rows in a group")
-    table = flag_outliers(
-        table,
-        OutlierRule(
-            nonlinear_gap=args.nonlinear_gap,
-            low_dcor_percentile=args.low_dcor_percentile,
-        ),
-    )
+        raise DataFormatError(f"every pair was skipped: none has {MIN_COMPLETE_ROWS} complete rows in a group")
+    table = flag_outliers(table, rule)
     emit_plot_data(table, args.format, args.out)
     _emit(
         {
@@ -206,7 +196,7 @@ def cmd_verify_dcov(args) -> int:
 
 def cmd_verify_singular(args) -> int:
     check = verify_singular_integral(
-        SingularParams(p=1, alpha=args.alpha, x=args.x), _quad_spec(args)
+        SingularParams(alpha=args.alpha, x=args.x), _quad_spec(args)
     )
     denom = max(abs(check.closed_form), 1e-30)
     ok = abs(check.numeric - check.closed_form) <= max(
@@ -239,59 +229,61 @@ def build_parser() -> argparse.ArgumentParser:
         description="Distance covariance/correlation statistics, testing, and screening",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options shared by several commands, each declared once.  A parent's option is one object in every
+    # command that takes it, so --replicates, whose default differs by command, is declared per command
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--x", required=True)
+    pair.add_argument("--y", required=True)
+    delimited = argparse.ArgumentParser(add_help=False)
+    delimited.add_argument("--delimiter", type=_delimiter, default=",")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=_seed, default=None)
+    quadrature = argparse.ArgumentParser(add_help=False)
+    quadrature.add_argument("--quad-radius", type=float, default=QuadratureSpec.truncation_radius)
+    quadrature.add_argument("--quad-panels", type=int, default=QuadratureSpec.panel_count)
+    quadrature.add_argument("--quad-tolerance", type=float, default=QuadratureSpec.tolerance)
 
-    p = sub.add_parser("compute", help="distance and Pearson statistics for one pair of samples")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--delimiter", type=_delimiter, default=",")
+    p = sub.add_parser("compute", parents=[pair, delimited],
+                       help="distance and Pearson statistics for one pair of samples")
     p.add_argument("--memory-budget", type=_positive_int, default=DEFAULT_MEMORY_BUDGET)
     p.set_defaults(func=cmd_compute)
 
-    p = sub.add_parser("test", help="permutation test of independence")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--delimiter", type=_delimiter, default=",")
+    p = sub.add_parser("test", parents=[pair, delimited, seeded], help="permutation test of independence")
     p.add_argument("--replicates", type=_positive_int, default=999)
-    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=cmd_test)
 
-    p = sub.add_parser("screen", help="pairwise Pearson/dcor screen over a dataset")
+    p = sub.add_parser("screen", parents=[delimited, seeded], help="pairwise Pearson/dcor screen over a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--columns", default=None, help="comma-separated column names")
     p.add_argument("--group-by", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--delimiter", type=_delimiter, default=",")
-    p.add_argument("--missing-policy", choices=["reject", "drop-row", "pairwise-drop"], default="reject")
+    p.add_argument("--format", choices=FORMATS, default="csv")
+    p.add_argument("--missing-policy", choices=MISSING_POLICIES, default="reject")
     p.add_argument("--p-values", action="store_true")
-    p.add_argument("--replicates", type=_positive_int, default=199)
-    p.add_argument("--seed", type=_seed, default=None)
-    p.add_argument("--nonlinear-gap", type=float, default=0.25)
-    p.add_argument("--low-dcor-percentile", type=float, default=5.0)
+    p.add_argument("--replicates", type=_positive_int, default=ScreenConfig.replicates)
+    p.add_argument("--nonlinear-gap", type=float, default=OutlierRule.nonlinear_gap)
+    p.add_argument("--low-dcor-percentile", type=float, default=OutlierRule.low_dcor_percentile)
     p.set_defaults(func=cmd_screen)
 
-    p = sub.add_parser("power", help="power comparison: dcov vs Pearson permutation tests")
+    p = sub.add_parser("power", parents=[seeded], help="power comparison: dcov vs Pearson permutation tests")
     p.add_argument("--scenario", choices=list(SCENARIOS), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--replicates", type=_positive_int, default=199)
-    p.add_argument("--seed", type=_seed, default=None)
     p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("verify", help="re-certify the build against its oracles")
     vsub = p.add_subparsers(dest="verify_what", required=True)
 
-    v = vsub.add_parser("dcov", help="Eq.-style estimator vs triple-sum and quadrature oracles")
+    v = vsub.add_parser("dcov", parents=[seeded, quadrature],
+                        help="Eq.-style estimator vs triple-sum and quadrature oracles")
     v.add_argument("--n", type=_positive_int, default=5)
-    v.add_argument("--seed", type=_seed, default=None)
-    _add_quad_flags(v)
     v.set_defaults(func=cmd_verify_dcov)
 
-    v = vsub.add_parser("singular", help="singular integral vs closed form")
+    v = vsub.add_parser("singular", parents=[quadrature], help="singular integral vs closed form")
     v.add_argument("--alpha", type=float, required=True)
     v.add_argument("--x", type=float, required=True)
-    _add_quad_flags(v)
     v.set_defaults(func=cmd_verify_singular)
 
     v = vsub.add_parser("constants", help="c_p vs C(p, 1) for p = 1..10")

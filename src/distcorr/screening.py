@@ -33,6 +33,9 @@ from .errors import DataFormatError, UsageError
 from .inference import permutation_test
 
 MISSING_POLICIES = ("reject", "drop-row", "pairwise-drop")
+FORMATS = ("csv", "json")
+MIN_COMPLETE_ROWS = 3  # a pair screened in a group needs this many complete rows
+MIN_GROUP_RECORDS = 20  # the low-dcor percentile rule needs a populated group
 
 
 @dataclass(frozen=True)
@@ -48,14 +51,18 @@ class ScreenConfig:
     p_values: bool = False
     replicates: int = 199
     seed: int = 0
-    min_group_rows: int = 3
 
 
 @dataclass(frozen=True)
 class OutlierRule:
     nonlinear_gap: float = 0.25  # flag when dcor - |pearson| >= gap
     low_dcor_percentile: float = 5.0
-    min_group_records: int = 20  # percentile rule needs a populated group
+
+    def __post_init__(self):
+        if not math.isfinite(self.nonlinear_gap):
+            raise UsageError(f"nonlinear_gap must be finite, got {self.nonlinear_gap}")
+        if not 0.0 <= self.low_dcor_percentile <= 100.0:  # False for NaN
+            raise UsageError(f"low_dcor_percentile must be in [0, 100], got {self.low_dcor_percentile}")
 
 
 @dataclass(frozen=True)
@@ -265,10 +272,8 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
     buffer = np.empty(0)  # the layouts of one set of rows, reused so that no set faults it in
     for gi, (label, mask) in enumerate(masks):
         rows = int(mask.sum())
-        if rows < config.min_group_rows:
-            warnings.append(
-                f"group {label!r} skipped: {rows} rows < minimum {config.min_group_rows}"
-            )
+        if rows < MIN_COMPLETE_ROWS:
+            warnings.append(f"group {label!r} skipped: {rows} rows < minimum {MIN_COMPLETE_ROWS}")
             continue
         usable_groups += 1
         data = np.array([dataset.columns[name][mask] for name in names])
@@ -286,7 +291,7 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
                 ok = finite[a] & finite[b]
                 by_rows[key] = (ok, int(ok.sum()), [])
             ok, n, members = by_rows[key]
-            if n < config.min_group_rows:
+            if n < MIN_COMPLETE_ROWS:
                 warnings.append(
                     f"pair ({var_a}, {var_b}) in group {label!r} skipped: "
                     f"only {n} complete rows"
@@ -353,7 +358,7 @@ def flag_outliers(table: CorrelationTable, rule: OutlierRule | None = None) -> C
 
     thresholds = {}
     for group, recs in by_group.items():
-        if len(recs) >= rule.min_group_records:
+        if len(recs) >= MIN_GROUP_RECORDS:
             dcors = np.array([r.dcor for r in recs])
             pearsons = np.abs([r.pearson for r in recs])
             thresholds[group] = (
@@ -384,8 +389,8 @@ def _sorted_records(table: CorrelationTable):
 
 def emit_plot_data(table: CorrelationTable, format: str, path) -> None:
     """Write the table sorted by (group, var_a, var_b); atomic and deterministic."""
-    if format not in ("csv", "json"):
-        raise DataFormatError(f"unknown output format {format!r}; use csv or json")
+    if format not in FORMATS:
+        raise DataFormatError(f"unknown output format {format!r}; use {' or '.join(FORMATS)}")
     records = _sorted_records(table)
 
     directory = os.path.dirname(os.path.abspath(path)) or "."

@@ -24,13 +24,10 @@ from .oracles import QuadratureSpec, _gl_nodes_weights
 
 @dataclass(frozen=True)
 class SingularParams:
-    p: int
     alpha: float
-    x: float  # fixed argument; scalar since quadrature is p = 1 only
+    x: float  # a scalar: the identity is checked for p = 1 only
 
     def __post_init__(self):
-        if self.p < 1:
-            raise UsageError(f"dimension p must be >= 1, got {self.p}")
         if not (0.0 < self.alpha < 2.0):
             raise UsageError(
                 f"alpha must lie strictly in (0, 2), got {self.alpha}: the "
@@ -104,8 +101,6 @@ def verify_singular_integral(
     """
     if spec is None:
         spec = QuadratureSpec()
-    if params.p != 1:
-        raise NotImplementedError("quadrature verification is implemented for p = 1 only")
     alpha = params.alpha
     x = abs(params.x)
     closed = singular_constant(1, alpha) * x**alpha

@@ -85,7 +85,7 @@ def test_singular_integral_identity():
     ok = True
     for alpha in (0.5, 1.0, 1.5):
         for x in (0.5, 1.0, 2.0):
-            check = verify_singular_integral(SingularParams(1, alpha, x))
+            check = verify_singular_integral(SingularParams(alpha, x))
             ok = ok and abs(check.numeric - check.closed_form) <= 1e-4 * check.closed_form
     elapsed = time.monotonic() - start
     report("singular-integral", ok and elapsed < 60.0)

@@ -6,7 +6,9 @@ import pytest
 
 from distcorr import cli
 from distcorr.cli import main
-from distcorr.core import dcor
+from distcorr.core import DEFAULT_MEMORY_BUDGET, dcor
+from distcorr.oracles import QuadratureSpec
+from distcorr.screening import OutlierRule, ScreenConfig
 
 
 def write_sample(path, values):
@@ -70,6 +72,30 @@ class TestCompute:
         assert "--memory-budget" in capsys.readouterr().err
 
 
+def test_defaults_are_the_library_values():
+    # each subcommand with only its required arguments; a default no library object defines is the CLI's own
+    quad = {"quad_radius": QuadratureSpec.truncation_radius, "quad_panels": QuadratureSpec.panel_count,
+            "quad_tolerance": QuadratureSpec.tolerance}
+    expected = [
+        (["compute", "--x", "x.csv", "--y", "y.csv"], {"delimiter": ",", "memory_budget": DEFAULT_MEMORY_BUDGET}),
+        (["test", "--x", "x.csv", "--y", "y.csv"], {"delimiter": ",", "seed": None, "replicates": 999}),
+        (["screen", "--data", "d.csv", "--out", "o.csv"], {
+            "delimiter": ",", "seed": None, "columns": None, "group_by": None, "format": "csv",
+            "missing_policy": "reject", "p_values": False, "replicates": ScreenConfig.replicates,
+            "nonlinear_gap": OutlierRule.nonlinear_gap, "low_dcor_percentile": OutlierRule.low_dcor_percentile}),
+        (["power", "--scenario", "linear", "--n", "10"],
+         {"seed": None, "trials": 100, "alpha": 0.05, "replicates": 199}),
+        (["verify", "dcov"], {"seed": None, "n": 5, **quad}),
+        (["verify", "singular", "--alpha", "1", "--x", "1"], quad),
+        (["verify", "constants"], {}),
+    ]
+    parser = cli.build_parser()
+    for argv, defaults in expected:
+        args = vars(parser.parse_args(argv))
+        given = {"command", "verify_what", "func", *(a[2:].replace("-", "_") for a in argv if a.startswith("--"))}
+        assert {k: v for k, v in args.items() if k not in given} == defaults, argv
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [
@@ -79,7 +105,7 @@ class TestCompute:
         (["verify", "dcov", "--quad-panels", "1", "--seed", "1"], "^error: usage: "),
         # checked before the data file is read: it does not exist
         (["screen", "--data", "missing.csv", "--out", "unused.csv", "--low-dcor-percentile", "150"],
-         "^error: usage: --low-dcor-percentile must be in \\[0, 100\\], got 150"),
+         "^error: usage: low_dcor_percentile must be in \\[0, 100\\], got 150"),
         # argparse rejects these, naming the flag
         (["verify", "dcov", "--n", "-1", "--seed", "1"], "error: argument --n: must be a positive"),
         (["verify", "dcov", "--n", "0", "--seed", "1"], "error: argument --n: must be a positive"),
@@ -94,9 +120,9 @@ class TestCompute:
         (["verify", "dcov", "--seed", "1.5"], "error: argument --seed: must be a non-negative"),
         # checked before the data file is read, as the percentile is
         (["screen", "--data", "missing.csv", "--out", "unused.csv", "--nonlinear-gap", "nan"],
-         "^error: usage: --nonlinear-gap must be finite, got nan"),
+         "^error: usage: nonlinear_gap must be finite, got nan"),
         (["screen", "--data", "missing.csv", "--out", "unused.csv", "--nonlinear-gap", "inf"],
-         "^error: usage: --nonlinear-gap must be finite, got inf"),
+         "^error: usage: nonlinear_gap must be finite, got inf"),
         # a NaN passes every <= 0 check
         (["verify", "dcov", "--seed", "1", "--quad-radius", "nan"], "^error: usage: truncation_radius must"),
         (["verify", "dcov", "--seed", "1", "--quad-radius", "inf"], "^error: usage: truncation_radius must"),
@@ -211,6 +237,21 @@ class TestScreen:
         assert code == 3
         assert "column 'v00' selected twice" in capsys.readouterr().err
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("columns", ["", "v01,v02,", "v01,,v02"], ids=["empty", "trailing-comma", "empty-name"])
+    def test_empty_column_name_exit_2_before_loading(self, tmp_path, capsys, monkeypatch, columns):
+        data = self.fixture_33(tmp_path)
+        loads = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *a, **k: loads.append(a))
+        code = main(["screen", "--data", data, "--columns", columns, "--out", str(tmp_path / "out.csv"), "--seed", "1"])
+        assert code == 2 and loads == []
+        assert f"error: usage: --columns {columns!r} names an empty column" in capsys.readouterr().err
+
+    def test_column_names_are_stripped(self, tmp_path, capsys):
+        data = self.fixture_33(tmp_path)
+        code, out = run(capsys, ["screen", "--data", data, "--columns", "v01, v02", "--out",
+                                 str(tmp_path / "out.csv"), "--seed", "1"])
+        assert code == 0 and out["pairs"] == 1
 
     @pytest.mark.parametrize("out, error", [
         ("{tmp}", "names a directory"),

@@ -14,6 +14,7 @@ import distcorr
 from distcorr import core
 from distcorr.core import (
     CenteredMatrix,
+    correlation,
     cross_term,
     dcor,
     dcov_sq,
@@ -517,6 +518,11 @@ class TestDcor:
         wide = x / np.abs(x).max()
         assert dcor(1.7e308 * wide, y).dcor == pytest.approx(dcor(wide, y).dcor, rel=1e-12)
 
+    def test_correlation_above_one_by_more_than_rounding_raises(self):
+        assert correlation(1.0 + 1e-13, 1.0, 1.0) == 1.0
+        with pytest.raises(DataQualityError, match="exceeded 1 by too much"):
+            correlation(1.0 + 1e-9, 1.0, 1.0)
+
     @given(finite_samples(max_n=10))
     @settings(max_examples=30, deadline=None)
     def test_range(self, x):
@@ -574,6 +580,12 @@ class TestPearson:
     def test_constant_raises(self):
         with pytest.raises(DegenerateVarianceError):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+
+    def test_multivariate_or_single_row_raises(self):
+        with pytest.raises(DataQualityError, match="scalar samples"):
+            pearson(np.random.default_rng(16).normal(size=(3, 2)), [1.0, 2.0, 3.0])
+        with pytest.raises(DegenerateVarianceError, match="at least 2 observations"):
+            pearson([1.0], [2.0])
 
     def test_constant_with_inexact_float_mean_raises(self):
         x = np.full(29, -0.41861994)

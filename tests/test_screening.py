@@ -1,4 +1,5 @@
 import json
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from distcorr.core import CenteredMatrix, dcor
 from distcorr.errors import DataFormatError, DataQualityError, UsageError
 from distcorr.inference import permutation_test
 from distcorr.screening import (
+    MIN_COMPLETE_ROWS,
     CorrelationTable,
     Dataset,
     OutlierRule,
@@ -50,6 +52,13 @@ class TestLoadDataset:
         ds = load_dataset(path, missing_policy="drop-row")
         assert ds.row_count == 2
         assert ds.dropped_rows == 1
+
+    def test_drop_row_drops_the_group_label_too(self, tmp_path):
+        path = write(tmp_path, "g,a,b\np,1,2\nq,,3\nr,4,5\n")
+        ds = load_dataset(path, group_by="g", missing_policy="drop-row")
+        assert ds.row_count == 2 and ds.dropped_rows == 1
+        assert list(ds.group_labels) == ["p", "r"]
+        assert list(ds.columns["b"]) == [2.0, 5.0]
 
     def test_pairwise_drop_keeps_nan(self, tmp_path):
         path = write(tmp_path, "a,b\n1,2\n,3\n4,5\n")
@@ -213,6 +222,12 @@ class TestPairwiseScreen:
         table = pairwise_screen(load_dataset(path, group_by="g"))
         assert {r.group for r in table.records} == {"big"}
         assert any("small" in w for w in table.warnings)
+
+    def test_every_group_below_the_minimum_raises(self, tmp_path):
+        rows = "".join(f"{g},{i},{i * i}\n" for g in "pq" for i in range(MIN_COMPLETE_ROWS - 1))
+        table_path = write(tmp_path, "g,a,b\n" + rows)
+        with pytest.raises(DataFormatError, match="all groups are smaller than the minimum row count"):
+            pairwise_screen(load_dataset(table_path, group_by="g"))
 
     def test_group_decomposition(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -513,6 +528,15 @@ class TestFlagOutliers:
         out = flag_outliers(make_table([rec]))
         assert "low-dcor-outlier" not in out.records[0].flags
 
+    @pytest.mark.parametrize("field, value", [
+        ("nonlinear_gap", float("nan")), ("nonlinear_gap", float("inf")), ("nonlinear_gap", -float("inf")),
+        ("low_dcor_percentile", -1.0), ("low_dcor_percentile", 150.0), ("low_dcor_percentile", float("nan")),
+    ])
+    def test_rule_rejects_values_that_flag_nothing_or_fail_later(self, field, value):
+        with pytest.raises(UsageError, match=f"^{field} must be"):
+            OutlierRule(**{field: value})
+        assert OutlierRule(low_dcor_percentile=100.0).low_dcor_percentile == 100.0  # the ends are valid
+
     def test_percentile_rule_flags_low_dcor_high_pearson(self):
         rng = np.random.default_rng(1)
         records = [
@@ -582,6 +606,20 @@ class TestEmitPlotData:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(DataFormatError):
             emit_plot_data(make_table(self.records()), "xml", tmp_path / "x")
+
+    def test_failed_rename_leaves_no_temporary_file_and_the_old_output(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        path.write_text("old\n")
+
+        def broken(src, dst):
+            assert src.endswith(".tmp") and os.path.exists(src)
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(screening.os, "replace", broken)
+        with pytest.raises(OSError, match="rename failed"):
+            emit_plot_data(make_table(self.records()), "csv", path)
+        assert path.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):

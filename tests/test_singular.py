@@ -46,48 +46,42 @@ class TestConstants:
 
 class TestVerifySingularIntegral:
     def test_x_zero(self):
-        check = verify_singular_integral(SingularParams(1, 1.0, 0.0))
+        check = verify_singular_integral(SingularParams(1.0, 0.0))
         assert check.numeric == 0.0
         assert check.closed_form == 0.0
 
     def test_alpha1_x1_gives_pi(self):
-        check = verify_singular_integral(SingularParams(1, 1.0, 1.0))
+        check = verify_singular_integral(SingularParams(1.0, 1.0))
         assert check.closed_form == pytest.approx(math.pi, rel=1e-13)
         assert abs(check.numeric - math.pi) <= 1e-4 * math.pi
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
     def test_identity_grid(self, alpha, x):
-        check = verify_singular_integral(SingularParams(1, alpha, x))
+        check = verify_singular_integral(SingularParams(alpha, x))
         assert abs(check.numeric - check.closed_form) <= max(
             1e-4 * check.closed_form, 3 * check.error_estimate
         )
 
     def test_homogeneity(self):
         alpha = 0.8
-        a = verify_singular_integral(SingularParams(1, alpha, 1.0))
-        b = verify_singular_integral(SingularParams(1, alpha, 2.0))
+        a = verify_singular_integral(SingularParams(alpha, 1.0))
+        b = verify_singular_integral(SingularParams(alpha, 2.0))
         ratio = b.numeric / a.numeric
         combined = (b.error_estimate / a.numeric) + ratio * (a.error_estimate / a.numeric)
         assert abs(ratio - 2**alpha) <= 2 * combined + 1e-6
 
     def test_negative_x_uses_absolute_value(self):
-        pos = verify_singular_integral(SingularParams(1, 1.2, 1.5))
-        neg = verify_singular_integral(SingularParams(1, 1.2, -1.5))
+        pos = verify_singular_integral(SingularParams(1.2, 1.5))
+        neg = verify_singular_integral(SingularParams(1.2, -1.5))
         assert neg.numeric == pos.numeric
         assert neg.closed_form == pos.closed_form
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
-            SingularParams(0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            SingularParams(1, 2.0, 1.0)
-
-    def test_multidimensional_not_implemented(self):
-        with pytest.raises(NotImplementedError):
-            verify_singular_integral(SingularParams(2, 1.0, 1.0))
+            SingularParams(2.0, 1.0)
 
     def test_respects_custom_spec(self):
         spec = QuadratureSpec(truncation_radius=500.0, panel_count=1024)
-        check = verify_singular_integral(SingularParams(1, 1.0, 1.0), spec)
+        check = verify_singular_integral(SingularParams(1.0, 1.0), spec)
         assert abs(check.numeric - math.pi) <= 1e-4 * math.pi
