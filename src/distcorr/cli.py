@@ -130,16 +130,13 @@ def cmd_screen(args) -> int:
         raise UsageError(f"--out {args.out!r} names a directory")
     if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         raise UsageError(f"--out {args.out!r} is in a directory that does not exist")
-    seed = _resolve_seed(args.seed)
+    config = ScreenConfig(p_values=args.p_values, replicates=args.replicates, seed=_resolve_seed(args.seed))
     dataset = load_dataset(
         args.data,
         delimiter=args.delimiter,
         group_by=args.group_by,
         columns=columns,
         missing_policy=args.missing_policy,
-    )
-    config = ScreenConfig(
-        p_values=args.p_values, replicates=args.replicates, seed=seed
     )
     table = pairwise_screen(dataset, config)
     for warning in table.warnings:
@@ -155,7 +152,7 @@ def cmd_screen(args) -> int:
             "pairs": len(table.records),
             "flagged": sum(1 for r in table.records if r.flags),
             "dropped_rows": dataset.dropped_rows,
-            "seed": seed,
+            "seed": config.seed,
         }
     )
     return 0

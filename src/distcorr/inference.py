@@ -94,7 +94,7 @@ def permutation_test(x, y, replicates: int, seed: int) -> TestResult:
     if ys.n < 2:
         raise DataQualityError("permutation test requires at least 2 observations")
     if replicates < 1:
-        raise DataQualityError("permutation test requires at least 1 replicate")
+        raise UsageError("permutation test requires at least 1 replicate")
     n, h = ys.n, ys.n // 2
     # a block of shifts of y's distances and its temporary take 16 n bytes per shift,
     # and a rebuilt block of A's shift layout as much: at most half of the budget each

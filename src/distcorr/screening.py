@@ -5,16 +5,17 @@ computes Pearson and distance correlation for every unordered pair of
 selected columns within each group, applies configurable outlier flags,
 and emits plot-ready CSV or JSON.
 
-A group's pairs are sorted by their complete-case rows, and each set of
-rows is read in one go: its distinct columns, restricted to those rows,
-are centered as one stack (``core._centered_columns``).  While a group's
-K centered columns fit the memory budget, the stack is stored as one
+A group's pairs are sorted by their complete-case rows, each pair keyed
+by its own rows as a bit set, and each set of rows is read in one go
+(``_read_pairs``): its distinct columns, restricted to those rows, are
+centered as one stack (``core._centered_columns``).  While a group's K
+centered columns fit the memory budget, the stack is stored as one
 (K, n//2 + 1, n) array in a buffer reused from set to set, and one
-``core.gram`` product over it gives all its pairs' dcov^2 and dVar; a pair
-whose Gram entry comes out negative or NaN takes ``dcor`` on its two
-centered matrices from the stack.  Above the budget the stack is of
-sorted forms, in O(K n) memory, and every pair takes ``dcor`` on its two.
-The permutation tests take the stack's forms either way.
+``core.gram`` product over it gives all its pairs' dcov^2 and dVar^2.
+Above the budget the stack is of sorted forms, in O(K n) memory.  A pair
+of sorted forms, or one whose Gram entries come out negative or NaN,
+takes ``inner`` and ``dvar`` on its two forms.  Every pair's Pearson is
+its set's, and the permutation tests take the stack's forms either way.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import DEFAULT_MEMORY_BUDGET, _centered_columns, _unit_exponents, correlation, dcor, gram, rows_that_fit
+from .core import DEFAULT_MEMORY_BUDGET, _centered_columns, _unit_exponents, correlation, gram, rows_that_fit
 from .errors import DataFormatError, UsageError
 from .inference import permutation_test
 
@@ -51,6 +52,12 @@ class ScreenConfig:
     p_values: bool = False
     replicates: int = 199
     seed: int = 0
+
+    def __post_init__(self):
+        if not isinstance(self.replicates, (int, np.integer)) or self.replicates < 1:
+            raise UsageError(f"replicates must be a positive integer, got {self.replicates!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:  # as SeedSequence takes it
+            raise UsageError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -128,13 +135,14 @@ def load_dataset(
 
     The file is UTF-8 text, with or without a byte-order mark.  Missing
     values are empty cells; any other cell must be a finite number,
-    and a column may be selected once.  Policy ``reject`` aborts on the first
-    missing cell; ``drop-row`` removes rows with a missing value in any
-    selected column and reports the count; ``pairwise-drop`` keeps NaNs
-    for per-pair complete-case handling downstream.
+    and a column may be selected once.  Names (the header's, ``group_by``,
+    ``columns``) are compared without surrounding spaces.  Policy
+    ``reject`` aborts on the first missing cell; ``drop-row`` removes rows
+    with a missing value in any selected column and reports the count;
+    ``pairwise-drop`` keeps NaNs for per-pair complete-case handling downstream.
     """
     if missing_policy not in MISSING_POLICIES:
-        raise DataFormatError(
+        raise UsageError(
             f"unknown missing policy {missing_policy!r}; known: {', '.join(MISSING_POLICIES)}"
         )
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
@@ -162,9 +170,10 @@ def load_dataset(
         i, row = next((i, row) for i, row in enumerate(rows, start=1) if len(row) != len(header))
         raise DataFormatError(f"ragged row {i}: expected {len(header)} cells, got {len(row)}")
 
+    group_by = None if group_by is None else group_by.strip()
     if group_by is not None and group_by not in header:
         raise DataFormatError(f"group column {group_by!r} not found in header")
-    selected = list(columns) if columns is not None else [
+    selected = [name.strip() for name in columns] if columns is not None else [
         h for h in header if h != group_by
     ]
     for i, name in enumerate(selected):
@@ -205,19 +214,21 @@ def _pair_seed(base_seed: int, group_index: int, pair_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _read_pairs(columns: np.ndarray, pairs: list, layouts: np.ndarray | None, p_value) -> dict:
+def _read_pairs(columns: np.ndarray, pairs: list, layouts: np.ndarray | None, config: ScreenConfig,
+                gi: int) -> dict:
     """(n, dcor, pearson, p-value) of each pair (pair index, i, j) of the rows of ``columns``, by pair index.
 
     ``columns`` is a (K, n) stack of columns with no missing cell.  Given
     ``layouts``, a (K, n//2 + 1, n) array, they are centered into it and one
-    ``gram`` gives every dcov^2 and dVar, under ``dcor``'s rules: the whole
-    product, or only one row of it when one column is in every pair (a
-    star).  A pair whose dcov^2 or either dVar^2 comes out negative or NaN,
-    or every pair of sorted forms (``layouts`` None), takes ``dcor`` on its
-    two forms, for the scale check of ``inner``.  Pearson takes
+    ``gram`` gives every dcov^2 and dVar^2: the whole product, or only one
+    row of it when one column is in every pair (a star).  A pair whose
+    dcov^2 or either dVar^2 comes out negative or NaN, or every pair of
+    sorted forms (``layouts`` None), takes ``inner`` and ``dvar`` on its two
+    forms instead, for the scale check of ``inner``.  Pearson takes
     ``pearson``'s sums of the scaled deviations' products, one column
     against all its partners at a time, so it is ``pearson``'s value (None
-    for a zero norm).  ``p_value(pair index, a, b)`` takes the two forms.
+    for a zero norm).  With ``config.p_values``, each pair's permutation
+    test takes its two forms, seeded by (group ``gi``, pair index).
     """
     forms, deviations = _centered_columns(columns, _unit_exponents(columns), layouts)
     star = min(set.intersection(*({i, j} for _, i, j in pairs)), default=None)
@@ -236,13 +247,15 @@ def _read_pairs(columns: np.ndarray, pairs: list, layouts: np.ndarray | None, p_
         with np.errstate(invalid="ignore", divide="ignore"):  # a zero norm: None below
             pearsons = np.clip(products.sum(axis=1) / (norms[first] * norms[others]), -1.0, 1.0)
         for (pair_index, i, j), p in zip(group, pearsons.tolist()):
-            if vxy[i][j] >= 0.0 and dvars[i] >= 0.0 and dvars[j] >= 0.0:  # NaN compares False
-                r = correlation(vxy[i][j], dvars[i], dvars[j])
-                p = p if norms[i] > 0.0 and norms[j] > 0.0 else None
-            else:
-                stats = dcor(forms[i], forms[j])
-                r, p = stats.dcor, stats.pearson
-            results[pair_index] = (columns.shape[1], r, p, p_value(pair_index, forms[i], forms[j]))
+            v, di, dj = vxy[i][j], dvars[i], dvars[j]
+            if not (v >= 0.0 and di >= 0.0 and dj >= 0.0):  # NaN compares False
+                v, di, dj = forms[i].inner(forms[j]), forms[i].dvar, forms[j].dvar
+            tested = None
+            if config.p_values:
+                tested = permutation_test(forms[i], forms[j], config.replicates,
+                                          _pair_seed(config.seed, gi, pair_index)).p_value
+            results[pair_index] = (columns.shape[1], correlation(v, di, dj),
+                                   p if norms[i] > 0.0 and norms[j] > 0.0 else None, tested)
     return results
 
 
@@ -278,19 +291,14 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
         usable_groups += 1
         data = np.array([dataset.columns[name][mask] for name in names])
         finite = np.isfinite(data)
-        # the pairs by their complete-case rows: the complete columns' pairs share the
-        # group's rows, and a gapped column's pairs with complete columns share its own
-        own = [None if f.all() else f.tobytes() for f in finite]
-        by_rows = {}  # key -> (rows, their count, [(pair index, a, b)])
+        bits = [int.from_bytes(np.packbits(f).tobytes(), "big") for f in finite]  # a column's rows as a bit set
+        by_rows = {}  # the pairs by their complete-case rows: key -> (rows, their count, [(pair index, a, b)])
         for pair_index, (var_a, var_b, a, b) in enumerate(pairs):
-            if own[a] is not None and own[b] is not None and own[a] != own[b]:
-                key = (finite[a] & finite[b]).tobytes()
-            else:
-                key = own[b] if own[a] is None else own[a]
+            key = bits[a] & bits[b]  # the pair's own rows
             if key not in by_rows:
                 ok = finite[a] & finite[b]
                 by_rows[key] = (ok, int(ok.sum()), [])
-            ok, n, members = by_rows[key]
+            _, n, members = by_rows[key]
             if n < MIN_COMPLETE_ROWS:
                 warnings.append(
                     f"pair ({var_a}, {var_b}) in group {label!r} skipped: "
@@ -298,11 +306,6 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
                 )
                 continue
             members.append((pair_index, a, b))
-
-        def p_value(pair_index, a, b, gi=gi):
-            if not config.p_values:
-                return None
-            return permutation_test(a, b, config.replicates, _pair_seed(config.seed, gi, pair_index)).p_value
 
         # Each set of rows is stored as one stack while K + 2 n x n matrices fit the budget:
         # each column stores half of one, which leaves room for a permutation test's block
@@ -320,7 +323,7 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
                 buffer = np.empty(size)
             results.update(_read_pairs(
                 data[np.ix_(cols, ok)], [(pair_index, local[a], local[b]) for pair_index, a, b in members],
-                buffer[:size].reshape(len(cols), n // 2 + 1, n) if stacked else None, p_value))
+                buffer[:size].reshape(len(cols), n // 2 + 1, n) if stacked else None, config, gi))
         for pair_index, (var_a, var_b, _, _) in enumerate(pairs):
             if pair_index in results:
                 n, r, p, tested = results[pair_index]
@@ -390,7 +393,7 @@ def _sorted_records(table: CorrelationTable):
 def emit_plot_data(table: CorrelationTable, format: str, path) -> None:
     """Write the table sorted by (group, var_a, var_b); atomic and deterministic."""
     if format not in FORMATS:
-        raise DataFormatError(f"unknown output format {format!r}; use {' or '.join(FORMATS)}")
+        raise UsageError(f"unknown output format {format!r}; use {' or '.join(FORMATS)}")
     records = _sorted_records(table)
 
     directory = os.path.dirname(os.path.abspath(path)) or "."

@@ -253,6 +253,13 @@ class TestScreen:
                                  str(tmp_path / "out.csv"), "--seed", "1"])
         assert code == 0 and out["pairs"] == 1
 
+    def test_group_by_name_is_stripped(self, tmp_path, capsys):
+        data = tmp_path / "g.csv"
+        data.write_text("g , a,b\n" + "".join(f"{'pq'[i % 2]},{i},{i * i % 7}\n" for i in range(12)))
+        code, out = run(capsys, ["screen", "--data", str(data), "--group-by", "g ", "--out",
+                                 str(tmp_path / "out.csv"), "--seed", "1"])
+        assert code == 0 and (out["groups"], out["pairs"]) == (2, 2)
+
     @pytest.mark.parametrize("out, error", [
         ("{tmp}", "names a directory"),
         ("", "names a directory"),

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from distcorr import core, inference
 from distcorr.core import dcov_sq, double_center
-from distcorr.errors import DataQualityError
+from distcorr.errors import DataQualityError, UsageError
 from distcorr.inference import permutation_test, power_simulation
 from distcorr.oracles import dcov_sq_oracle_sums
 from distcorr.samples import _euclidean
@@ -227,7 +227,7 @@ class TestPermutationTest:
     def test_rejects_tiny_inputs(self):
         with pytest.raises(DataQualityError):
             permutation_test([1.0], [2.0], replicates=9, seed=0)
-        with pytest.raises(DataQualityError):
+        with pytest.raises(UsageError):
             permutation_test([1.0, 2.0], [3.0, 4.0], replicates=0, seed=0)
 
 

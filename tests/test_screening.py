@@ -107,6 +107,16 @@ class TestLoadDataset:
         with pytest.raises(DataFormatError, match=f"non-finite cell '{cell}' at row 2, column 'b'"):
             load_dataset(path, missing_policy=policy)
 
+    def test_unknown_missing_policy(self, tmp_path):
+        with pytest.raises(UsageError, match="unknown missing policy 'skip'"):
+            load_dataset(write(tmp_path, COMPLETE), missing_policy="skip")
+
+    def test_group_by_and_column_names_are_stripped(self, tmp_path):
+        # as the header's names are
+        ds = load_dataset(write(tmp_path, "g , a,b\nred,1,2\nblue,3,4\n"), group_by="g ", columns=[" b", "a "])
+        assert list(ds.columns) == ["b", "a"]
+        assert list(ds.group_labels) == ["red", "blue"]
+
     def test_column_selected_twice(self, tmp_path):
         with pytest.raises(DataFormatError, match="column 'a' selected twice"):
             load_dataset(write(tmp_path, COMPLETE), columns=["a", "a", "b"])
@@ -245,6 +255,14 @@ class TestPairwiseScreen:
         assert rec_full.pearson == pytest.approx(rec_solo.pearson, abs=1e-12)
         assert rec_full.dcor == pytest.approx(rec_solo.dcor, abs=1e-12)
 
+    @pytest.mark.parametrize("field, config", [
+        ("replicates", dict(p_values=True, replicates=0)), ("replicates", dict(p_values=True, replicates=2.5)),
+        ("seed", dict(seed=-1)), ("seed", dict(seed=1.5)),
+    ])
+    def test_config_rejects_values_that_fail_at_the_first_test(self, field, config):
+        with pytest.raises(UsageError, match=f"^{field} must be"):
+            ScreenConfig(**config)
+
     def test_p_values_deterministic(self, tmp_path):
         ds = synthetic_dataset(tmp_path, n=30)
         cfg = ScreenConfig(p_values=True, replicates=49, seed=99)
@@ -325,7 +343,8 @@ class TestPairwiseScreen:
                 assert r.p_value == permutation_test(a[ok], b[ok], 9, seed).p_value
 
     def test_over_budget_builds_per_pair_with_identical_records(self, monkeypatch):
-        ds = gapped_dataset()
+        base = gapped_dataset()
+        ds = replace(base, columns={**base.columns, "e": np.full(80, 2.5)})  # a constant column too
         cfg = ScreenConfig(p_values=True, replicates=9, seed=4)
         cached = pairwise_screen(ds, cfg)
         monkeypatch.setattr(screening, "DEFAULT_MEMORY_BUDGET", 0)
@@ -336,6 +355,8 @@ class TestPairwiseScreen:
             # all but dcor identical: the sorted forms' cross term and a BLAS product round apart
             assert replace(r, dcor=c.dcor) == c
             assert r.dcor == pytest.approx(c.dcor, rel=1e-12)
+            if "e" in (r.var_a, r.var_b):  # a zero norm and a zero dVar on both paths
+                assert (r.pearson, r.dcor, r.flags) == (0.0, 0.0, ("degenerate-variance",))
 
     @pytest.mark.parametrize("n, budget", [
         pytest.param(n, budget, id=str(n) if budget else f"{n}-past-stack-rule")
@@ -604,7 +625,7 @@ class TestEmitPlotData:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_unknown_format(self, tmp_path):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(UsageError):
             emit_plot_data(make_table(self.records()), "xml", tmp_path / "x")
 
     def test_failed_rename_leaves_no_temporary_file_and_the_old_output(self, tmp_path, monkeypatch):
