@@ -9,7 +9,9 @@ x's centered matrix A has rows and columns that sum to zero, so sum(A * B^perm) 
 sum_kl A_kl |y_perm(k) - y_perm(l)|.  So a replicate is the weighted shift sum
 that ``inner`` takes, of A against y[perm]'s distances at the same shifts (one
 strided view over y[perm] joined to itself): half of the n x n entries.  Shift
-0 of the distances is 0, so A's diagonal adds exactly 0.
+0 of the distances is 0, so A's diagonal adds exactly 0.  The shifts come in
+blocks of at most ``REPLICATE_BLOCK_BYTES``, each reduced row by row while it
+is still in cache.
 
 Determinism: every replicate b draws its permutation from a generator
 seeded by (seed, b), so replicates can run in any order (or in parallel)
@@ -22,10 +24,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DEFAULT_MEMORY_BUDGET, STREAM_BLOCK_ROWS, CenteredMatrix, rows_that_fit
+from .core import DEFAULT_MEMORY_BUDGET, CenteredMatrix, rows_that_fit
 from .core import _centered_shifts, _scaled, _unit, _unscaled
 from .errors import DataQualityError, UsageError
 from .samples import _shift_distances, as_sample, check_same_n
+
+# Most bytes in one block of a replicate's shifts (2^17 float64 entries): the
+# block that _shift_distances writes is still in cache when it is reduced.
+REPLICATE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -63,8 +69,14 @@ def _workspace(rows: int, y: np.ndarray) -> tuple:
     """One block of ``rows`` shifts of y's distances and, for a multivariate y, its temporary.
 
     Every replicate writes into them, so that none faults in fresh pages.
+    ``permutation_test`` sizes the block to at most ``REPLICATE_BLOCK_BYTES``.
     """
     return np.empty((rows, len(y))), np.empty((rows, len(y))) if y.shape[1] > 1 else None
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> float:
+    """sum(a * b), one dot product per row: no part of a just-written block goes to a second BLAS thread."""
+    return float(np.vecdot(a, b).sum())
 
 
 def _permuted_dcov_sq(a: CenteredMatrix, y: np.ndarray, perm: np.ndarray, rows: int,
@@ -72,7 +84,7 @@ def _permuted_dcov_sq(a: CenteredMatrix, y: np.ndarray, perm: np.ndarray, rows: 
     """dcov^2(x, y[perm]) in blocks of ``rows`` shifts; ``work`` is ``_workspace(rows, y)``."""
     yp, n = y[perm], a.n
     out, tmp = _workspace(min(rows, n // 2 + 1), y) if work is None else work
-    total = a._shift_sum(lambda s0, s1: _shift_distances(yp, s0, s1, out, tmp), rows)
+    total = a._shift_sum(lambda s0, s1: _shift_distances(yp, s0, s1, out, tmp), rows, _row_dots)
     if math.isnan(total):
         raise DataQualityError("a permutation replicate of dcov^2 came out NaN")
     return max(total / (n * n), 0.0)
@@ -84,8 +96,10 @@ def permutation_test(x, y, replicates: int, seed: int) -> TestResult:
     x and y are samples or their CenteredMatrix objects from ``_scaled``.  The
     memory budget covers A's shift layout and one block of shifts of y's
     (scaled) distances with its temporary.  A layout that does not fit next
-    to it is rebuilt per replicate.  The observed statistic is the
-    identity's replicate, so ties compare equal.
+    to it is rebuilt per replicate.  A block holds at most
+    ``REPLICATE_BLOCK_BYTES`` of y's distances (and a quarter of the budget),
+    and each block is summed one dot product per row (``_row_dots``).  The
+    observed statistic is the identity's replicate, so ties compare equal.
 
     p-value uses the add-one formula (1 + #{perm >= observed}) / (1 + B),
     so it is never exactly 0; ties count as exceedances (conservative).
@@ -98,7 +112,7 @@ def permutation_test(x, y, replicates: int, seed: int) -> TestResult:
     n, h = ys.n, ys.n // 2
     # a block of shifts of y's distances and its temporary take 16 n bytes per shift,
     # and a rebuilt block of A's shift layout as much: at most half of the budget each
-    rows = min(h + 1, STREAM_BLOCK_ROWS, max(1, rows_that_fit(n, DEFAULT_MEMORY_BUDGET // 4)))
+    rows = min(h + 1, max(1, rows_that_fit(n, min(REPLICATE_BLOCK_BYTES, DEFAULT_MEMORY_BUDGET // 4))))
     left = DEFAULT_MEMORY_BUDGET - 16 * n * rows
     a = _scaled(x, left)
     check_same_n(a, ys)

@@ -19,7 +19,7 @@ from distcorr.core import (
     double_center,
     pearson,
 )
-from distcorr.inference import permutation_test, power_simulation
+from distcorr.inference import REPLICATE_BLOCK_BYTES, permutation_test, power_simulation
 from distcorr.oracles import dcov_sq_oracle_sums, dcov_sq_via_integral
 from distcorr.samples import as_sample
 from distcorr.screening import (
@@ -285,9 +285,9 @@ def test_performance_replicates():
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     gap = rel_diff(res.statistic, dcov_sq(x, y))
-    # x's shift layout, one block of 512 shifts of y's distances and O(n): no n x n matrix
+    # x's shift layout, one 1 MiB block of shifts of y's distances and O(n): no n x n matrix
     n = len(x)
-    bound = 8 * n * (n // 2) + 8 * n * 512 + 80 * 8 * n
+    bound = 8 * n * (n // 2) + REPLICATE_BLOCK_BYTES + 80 * 8 * n
     ok = elapsed < 60.0 and peak <= bound and gap <= 1e-12 and res.exceed_count == 0
     print(f"  permutation test N=2000, B=99: {elapsed:.2f}s, peak {peak / 2**20:.1f} MiB, "
           f"statistic {gap:.1e} from dcov_sq")

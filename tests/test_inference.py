@@ -38,11 +38,12 @@ def gather_exceedances(x, y, replicates, seed):
     a, b = double_center(x), double_center(y)
     n = len(x)
     observed = a.inner(b)
+    da, db = dense(a), dense(b)
     count = 0
     for rep in range(1, replicates + 1):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(rep,)))
         perm = rng.permutation(n)
-        count += float(np.vdot(dense(a), dense(b)[np.ix_(perm, perm)])) / (n * n) >= observed
+        count += float(np.vdot(da, db[np.ix_(perm, perm)])) / (n * n) >= observed
     return count
 
 
@@ -85,7 +86,7 @@ class TestPermutationTest:
         rng = np.random.default_rng(6)
         x, y = rng.normal(size=(n, dim)), rng.normal(size=n)
         expected = permutation_test(x, y, replicates=9, seed=1)
-        block = 8 * n * min(n, inference.STREAM_BLOCK_ROWS)
+        block = inference.REPLICATE_BLOCK_BYTES
         for budget, bound in [
             (8 * n * n // 2, 8 * n * n // 2),
             (1000, 1000),
@@ -170,6 +171,17 @@ class TestPermutationTest:
         assert len(made) == 1 and made[0][0].shape == made[0][1].shape == (16, 30)
         assert res == expected
 
+    @pytest.mark.parametrize("n, rows", [(300, 151), (3000, (1 << 17) // 3000)])
+    def test_workspace_is_one_cache_sized_block(self, n, rows, monkeypatch):
+        rng = np.random.default_rng(n)
+        x, y = rng.normal(size=n), rng.normal(size=n)
+        made = []
+        build = inference._workspace
+        monkeypatch.setattr(inference, "_workspace", lambda *a: made.append(build(*a)) or made[-1])
+        permutation_test(x, y, replicates=1, seed=4)
+        # the whole layout while it fits in 2^17 float64 entries, else as many shifts as fit
+        assert len(made) == 1 and made[0][0].shape == (rows, n) and made[0][0].size <= 1 << 17
+
     def test_statistic_is_the_identity_replicate(self, monkeypatch):
         rng = np.random.default_rng(8)
         x, y = rng.normal(size=(40, 3)), rng.normal(size=(40, 1))
@@ -188,7 +200,9 @@ class TestPermutationTest:
             assert permutation_test(xv, y, replicates=9, seed=2).exceed_count == 9
 
     @pytest.mark.parametrize(
-        "n, dims, shift", [(30, (1, 1), 0.0), (50, (2, 1), 0.3), (80, (1, 2), 0.2), (40, (3, 1), 0.2)]
+        "n, dims, shift",
+        # at n = 600 a replicate's 301 shifts take two blocks
+        [(30, (1, 1), 0.0), (50, (2, 1), 0.3), (80, (1, 2), 0.2), (40, (3, 1), 0.2), (600, (1, 1), 0.1)],
     )
     def test_counts_equal_the_gather_formula(self, n, dims, shift):
         rng = np.random.default_rng(n)
