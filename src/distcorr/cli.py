@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Machine output (JSON) goes to stdout; diagnostics go to stderr.
-Exit codes: 0 success, 1 computation/verification failure, 2 usage error,
-3 data error.
+Exit codes: 0 success, 1 verification failure (an oracle disagreement, or
+quadrature that does not converge), 2 usage error, 3 data error.
 """
 from __future__ import annotations
 
@@ -53,6 +53,14 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
+def _verdict(payload: dict, failure: str) -> int:
+    """Emit a verify command's payload, then raise VerificationFailure(failure) unless it passed."""
+    _emit(payload)
+    if not payload["pass"]:
+        raise VerificationFailure(failure)
+    return 0
+
+
 def _load_sample(path, delimiter: str):
     ds = load_dataset(path, delimiter=delimiter, missing_policy="reject")
     if not ds.columns:
@@ -76,26 +84,19 @@ def _quad_spec(args) -> QuadratureSpec:
     )
 
 
-def _positive_int(text: str) -> int:
-    """A positive whole number: ``--memory-budget`` (bytes), ``--replicates`` or ``verify dcov --n``."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive whole number, got {text!r}")
-    return value
+def _whole(floor: int):
+    """A parser of whole numbers >= ``floor``: 1 for counts and bytes, 0 for a seed (as SeedSequence takes)."""
+    kind = "positive" if floor == 1 else "non-negative"
 
-
-def _seed(text: str) -> int:
-    """A seed: a non-negative whole number, as numpy's SeedSequence takes."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative whole number, got {text!r}")
-    return value
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = floor - 1
+        if value < floor:
+            raise argparse.ArgumentTypeError(f"must be a {kind} whole number, got {text!r}")
+        return value
+    return parse
 
 
 def _delimiter(text: str) -> str:
@@ -175,7 +176,7 @@ def cmd_verify_dcov(args) -> int:
     quad = dcov_sq_via_integral(x, y, _quad_spec(args))
     ok_triple = abs(direct - triple) <= 1e-12 * max(abs(direct), 1e-30)
     ok_quad = abs(direct - quad.value) <= max(1e-2 * abs(direct), 3 * quad.error_estimate)
-    _emit(
+    return _verdict(
         {
             "n": args.n,
             "seed": seed,
@@ -184,11 +185,9 @@ def cmd_verify_dcov(args) -> int:
             "quadrature": quad.value,
             "quadrature_error": quad.error_estimate,
             "pass": ok_triple and ok_quad,
-        }
+        },
+        "oracle disagreement on dcov_sq",
     )
-    if not (ok_triple and ok_quad):
-        raise VerificationFailure("oracle disagreement on dcov_sq")
-    return 0
 
 
 def cmd_verify_singular(args) -> int:
@@ -199,10 +198,8 @@ def cmd_verify_singular(args) -> int:
     ok = abs(check.numeric - check.closed_form) <= max(
         1e-4 * denom, 3 * check.error_estimate
     )
-    _emit({"alpha": args.alpha, "x": args.x, **asdict(check), "pass": ok})
-    if not ok:
-        raise VerificationFailure("singular integral disagrees with closed form")
-    return 0
+    return _verdict({"alpha": args.alpha, "x": args.x, **asdict(check), "pass": ok},
+                    "singular integral disagrees with closed form")
 
 
 def cmd_verify_constants(args) -> int:
@@ -214,10 +211,7 @@ def cmd_verify_constants(args) -> int:
         agree = abs(cp - c_alpha1) <= 1e-12 * cp
         ok = ok and agree
         rows.append({"p": p, "c_p": cp, "C_p_alpha1": c_alpha1, "pass": agree})
-    _emit({"constants": rows, "pass": ok})
-    if not ok:
-        raise VerificationFailure("C(p, 1) does not match c_p")
-    return 0
+    return _verdict({"constants": rows, "pass": ok}, "C(p, 1) does not match c_p")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     delimited = argparse.ArgumentParser(add_help=False)
     delimited.add_argument("--delimiter", type=_delimiter, default=",")
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=_seed, default=None)
+    seeded.add_argument("--seed", type=_whole(0), default=None)
     quadrature = argparse.ArgumentParser(add_help=False)
     quadrature.add_argument("--quad-radius", type=float, default=QuadratureSpec.truncation_radius)
     quadrature.add_argument("--quad-panels", type=int, default=QuadratureSpec.panel_count)
@@ -242,11 +236,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", parents=[pair, delimited],
                        help="distance and Pearson statistics for one pair of samples")
-    p.add_argument("--memory-budget", type=_positive_int, default=DEFAULT_MEMORY_BUDGET)
+    p.add_argument("--memory-budget", type=_whole(1), default=DEFAULT_MEMORY_BUDGET)
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("test", parents=[pair, delimited, seeded], help="permutation test of independence")
-    p.add_argument("--replicates", type=_positive_int, default=999)
+    p.add_argument("--replicates", type=_whole(1), default=999)
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("screen", parents=[delimited, seeded], help="pairwise Pearson/dcor screen over a dataset")
@@ -257,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=FORMATS, default="csv")
     p.add_argument("--missing-policy", choices=MISSING_POLICIES, default="reject")
     p.add_argument("--p-values", action="store_true")
-    p.add_argument("--replicates", type=_positive_int, default=ScreenConfig.replicates)
+    p.add_argument("--replicates", type=_whole(1), default=ScreenConfig.replicates)
     p.add_argument("--nonlinear-gap", type=float, default=OutlierRule.nonlinear_gap)
     p.add_argument("--low-dcor-percentile", type=float, default=OutlierRule.low_dcor_percentile)
     p.set_defaults(func=cmd_screen)
@@ -267,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--replicates", type=_positive_int, default=199)
+    p.add_argument("--replicates", type=_whole(1), default=199)
     p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("verify", help="re-certify the build against its oracles")
@@ -275,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = vsub.add_parser("dcov", parents=[seeded, quadrature],
                         help="Eq.-style estimator vs triple-sum and quadrature oracles")
-    v.add_argument("--n", type=_positive_int, default=5)
+    v.add_argument("--n", type=_whole(1), default=5)
     v.set_defaults(func=cmd_verify_dcov)
 
     v = vsub.add_parser("singular", parents=[quadrature], help="singular integral vs closed form")

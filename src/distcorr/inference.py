@@ -11,7 +11,8 @@ that ``inner`` takes, of A against y[perm]'s distances at the same shifts (one
 strided view over y[perm] joined to itself): half of the n x n entries.  Shift
 0 of the distances is 0, so A's diagonal adds exactly 0.  The shifts come in
 blocks of at most ``REPLICATE_BLOCK_BYTES``, each reduced row by row while it
-is still in cache.
+is still in cache.  A's layout (8 n (n//2 + 1) bytes) is built once when it
+fits the budget next to one block, else rebuilt block by block per replicate.
 
 Determinism: every replicate b draws its permutation from a generator
 seeded by (seed, b), so replicates can run in any order (or in parallel)
@@ -24,8 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DEFAULT_MEMORY_BUDGET, CenteredMatrix, rows_that_fit
-from .core import _centered_shifts, _scaled, _unit, _unscaled
+from . import core
+from .core import CenteredMatrix, _scaled, _unit, _unscaled, rows_that_fit
 from .errors import DataQualityError, UsageError
 from .samples import _shift_distances, as_sample, check_same_n
 
@@ -93,13 +94,15 @@ def _permuted_dcov_sq(a: CenteredMatrix, y: np.ndarray, perm: np.ndarray, rows: 
 def permutation_test(x, y, replicates: int, seed: int) -> TestResult:
     """Independence test: permute y's rows, recompute dcov^2, count exceedances.
 
-    x and y are samples or their CenteredMatrix objects from ``_scaled``.  The
-    memory budget covers A's shift layout and one block of shifts of y's
-    (scaled) distances with its temporary.  A layout that does not fit next
-    to it is rebuilt per replicate.  A block holds at most
-    ``REPLICATE_BLOCK_BYTES`` of y's distances (and a quarter of the budget),
-    and each block is summed one dot product per row (``_row_dots``).  The
-    observed statistic is the identity's replicate, so ties compare equal.
+    x and y are samples or their CenteredMatrix objects from ``_scaled``.
+    ``core.DEFAULT_MEMORY_BUDGET`` covers A's shift layout and one block of
+    shifts of y's (scaled) distances with its temporary.  While the layout
+    fits next to the block, a raw x is built stored and a form without its
+    layout is laid out once; otherwise a raw x takes the form that is not
+    stored.  A block holds at most ``REPLICATE_BLOCK_BYTES`` of y's distances
+    (and a quarter of the budget), and each block is summed one dot product
+    per row (``_row_dots``).  The observed statistic is the identity's
+    replicate, so ties compare equal.
 
     p-value uses the add-one formula (1 + #{perm >= observed}) / (1 + B),
     so it is never exactly 0; ties count as exceedances (conservative).
@@ -112,12 +115,15 @@ def permutation_test(x, y, replicates: int, seed: int) -> TestResult:
     n, h = ys.n, ys.n // 2
     # a block of shifts of y's distances and its temporary take 16 n bytes per shift,
     # and a rebuilt block of A's shift layout as much: at most half of the budget each
-    rows = min(h + 1, max(1, rows_that_fit(n, min(REPLICATE_BLOCK_BYTES, DEFAULT_MEMORY_BUDGET // 4))))
-    left = DEFAULT_MEMORY_BUDGET - 16 * n * rows
-    a = _scaled(x, left)
-    check_same_n(a, ys)
-    if a.shifts is None and 8 * n * (h + 1) <= left:  # the layout fits next to y's block: built once
-        a = replace(a, shifts=_centered_shifts(a, 0, h + 1))
+    budget = core.DEFAULT_MEMORY_BUDGET
+    rows = min(h + 1, max(1, rows_that_fit(n, min(REPLICATE_BLOCK_BYTES, budget // 4))))
+    left = budget - 16 * n * rows
+    keep = 8 * n * (h + 1) <= left  # x's layout fits next to y's block: built once, and kept
+    xs = x if isinstance(x, CenteredMatrix) else as_sample(x)
+    check_same_n(xs, ys)  # before x's layout is built at y's size
+    a = _scaled(xs, None if keep else left)
+    if keep and a.shifts is None:  # a form that arrives without its layout: laid out from its row means
+        a = replace(a, shifts=core._centered_shifts(a, 0, h + 1))
     work = _workspace(rows, ys.data)
     observed = _permuted_dcov_sq(a, ys.data, np.arange(n), rows, work)
     exceed = _exceedances(

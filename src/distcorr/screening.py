@@ -9,7 +9,8 @@ A group's pairs are sorted by their complete-case rows, each pair keyed
 by its own rows as a bit set, and each set of rows is read in one go
 (``_read_pairs``): its distinct columns, restricted to those rows, are
 centered as one stack (``core._centered_columns``).  While a group's K
-centered columns fit the memory budget, the stack is stored as one
+centered columns fit ``core.DEFAULT_MEMORY_BUDGET``, the one budget that
+its permutation tests read too, the stack is stored as one
 (K, n//2 + 1, n) array in a buffer reused from set to set, and one
 ``core.gram`` product over it gives all its pairs' dcov^2 and dVar^2.
 Above the budget the stack is of sorted forms, in O(K n) memory.  A pair
@@ -29,7 +30,8 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import DEFAULT_MEMORY_BUDGET, _centered_columns, _unit_exponents, correlation, gram, rows_that_fit
+from . import core
+from .core import _centered_columns, _unit_exponents, correlation, gram, rows_that_fit
 from .errors import DataFormatError, UsageError
 from .inference import permutation_test
 
@@ -310,7 +312,7 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
         # Each set of rows is stored as one stack while K + 2 n x n matrices fit the budget:
         # each column stores half of one, which leaves room for a permutation test's block
         # of y's distances.  Otherwise it is a stack of sorted forms.
-        stacked = rows_that_fit(rows, DEFAULT_MEMORY_BUDGET) >= (len(names) + 2) * rows
+        stacked = rows_that_fit(rows, core.DEFAULT_MEMORY_BUDGET) >= (len(names) + 2) * rows
         results = {}
         for ok, n, members in by_rows.values():
             if not members:
@@ -386,15 +388,11 @@ def flag_outliers(table: CorrelationTable, rule: OutlierRule | None = None) -> C
 _FIELDS = ("group", "var_a", "var_b", "n", "pearson", "dcor", "p_value", "flags")
 
 
-def _sorted_records(table: CorrelationTable):
-    return sorted(table.records, key=lambda r: (r.group, r.var_a, r.var_b))
-
-
 def emit_plot_data(table: CorrelationTable, format: str, path) -> None:
     """Write the table sorted by (group, var_a, var_b); atomic and deterministic."""
     if format not in FORMATS:
         raise UsageError(f"unknown output format {format!r}; use {' or '.join(FORMATS)}")
-    records = _sorted_records(table)
+    records = sorted(table.records, key=lambda r: (r.group, r.var_a, r.var_b))
 
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")

@@ -22,18 +22,25 @@ from .errors import ConvergenceError, UsageError
 from .oracles import QuadratureSpec, _gl_nodes_weights
 
 
+def _check(p: int, alpha: float = 1.0) -> None:
+    """C(p, alpha)'s domain: p >= 1 and 0 < alpha < 2."""
+    if p < 1:
+        raise UsageError(f"dimension p must be >= 1, got {p}")
+    if not (0.0 < alpha < 2.0):
+        raise UsageError(
+            f"alpha must lie strictly in (0, 2), got {alpha}: the "
+            "Gamma(1 - alpha/2) factor has a pole at alpha = 2 and the "
+            "integral diverges outside the interval"
+        )
+
+
 @dataclass(frozen=True)
 class SingularParams:
     alpha: float
     x: float  # a scalar: the identity is checked for p = 1 only
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 2.0):
-            raise UsageError(
-                f"alpha must lie strictly in (0, 2), got {self.alpha}: the "
-                "Gamma(1 - alpha/2) factor has a pole at alpha = 2 and the "
-                "integral diverges outside the interval"
-            )
+        _check(1, self.alpha)
         if not math.isfinite(self.x):
             raise UsageError(f"x must be finite, got {self.x}")
 
@@ -48,21 +55,14 @@ class SingularCheck:
 @lru_cache(maxsize=None)
 def c_p(p: int) -> float:
     """Weight-normalizing constant pi^{(p+1)/2} / Gamma((p+1)/2)."""
-    if p < 1:
-        raise UsageError(f"dimension p must be >= 1, got {p}")
+    _check(p)
     return math.exp(0.5 * (p + 1) * math.log(math.pi) - math.lgamma(0.5 * (p + 1)))
 
 
 @lru_cache(maxsize=None)
 def singular_constant(p: int, alpha: float) -> float:
     """The constant C(p, alpha) of the singular-integral identity."""
-    if p < 1:
-        raise UsageError(f"dimension p must be >= 1, got {p}")
-    if not (0.0 < alpha < 2.0):
-        raise UsageError(
-            f"alpha must lie strictly in (0, 2), got {alpha}: Gamma(1 - alpha/2) "
-            "has a pole at alpha = 2 and the integral diverges outside the interval"
-        )
+    _check(p, alpha)
     log_c = (
         math.log(2.0)
         + 0.5 * p * math.log(math.pi)

@@ -9,6 +9,7 @@ from distcorr.cli import main
 from distcorr.core import DEFAULT_MEMORY_BUDGET, dcor
 from distcorr.oracles import QuadratureSpec
 from distcorr.screening import OutlierRule, ScreenConfig
+from distcorr.singular import SingularCheck, c_p
 
 
 def write_sample(path, values):
@@ -56,6 +57,12 @@ class TestCompute:
         x, _ = two_point
         code = main(["compute", "--x", x, "--y", "/nope/missing.csv"])
         assert code == 3
+
+    def test_blank_file_has_no_numeric_columns_exit_3(self, two_point, tmp_path, capsys):
+        blank = tmp_path / "blank.csv"
+        blank.write_text("\n")
+        assert main(["compute", "--x", str(blank), "--y", two_point[1]]) == 3
+        assert capsys.readouterr().err == f"error: data: {blank} has no numeric columns\n"
 
     def test_unknown_flag_exit_2(self, two_point):
         x, y = two_point
@@ -146,6 +153,13 @@ def test_invalid_argument_exit_2(capsys, argv, error):
         code = exc.code
     assert code == 2
     assert re.search(error, capsys.readouterr().err)
+
+
+def test_non_numeric_count_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "dcov", "--n", "abc", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "error: argument --n: must be a positive whole number, got 'abc'" in capsys.readouterr().err
 
 
 def test_stray_value_error_is_not_a_usage_error(two_point, monkeypatch):
@@ -370,3 +384,24 @@ class TestVerify:
         assert code == 0
         assert out["pass"] is True
         assert out["closed_form"] == pytest.approx(np.pi, rel=1e-12)
+
+    def test_quadrature_that_does_not_converge_exit_1(self, capsys):
+        code = main(["verify", "dcov", "--seed", "1", "--quad-panels", "2", "--quad-tolerance", "1e-9"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: verification: quadrature error estimate ")
+
+    @pytest.mark.parametrize("argv, name, wrong, error", [
+        (["dcov", "--seed", "1"], "dcov_sq_oracle_sums", lambda x, y: -1.0, "oracle disagreement on dcov_sq"),
+        (["singular", "--alpha", "1.0", "--x", "1.0"], "verify_singular_integral",
+         lambda params, spec: SingularCheck(numeric=1.0, closed_form=2.0, error_estimate=0.0),
+         "singular integral disagrees with closed form"),
+        (["constants"], "singular_constant", lambda p, alpha: 2.0 * c_p(p), "C(p, 1) does not match c_p"),
+    ], ids=["dcov", "singular", "constants"])
+    def test_oracle_disagreement_prints_its_payload_then_exit_1(self, capsys, monkeypatch, argv, name, wrong, error):
+        monkeypatch.setattr(cli, name, wrong)
+        code = main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["pass"] is False
+        assert captured.err == f"error: verification: {error}\n"

@@ -79,6 +79,15 @@ def test_every_exported_name_resolves():
         assert getattr(distcorr, name, None) is not None, name
 
 
+@pytest.mark.parametrize("data, error", [
+    (np.zeros((2, 2, 2)), "sample must be 1-D or 2-D, got ndim=3"),
+    (np.zeros(0), r"sample must have n >= 1 and dim >= 1, got shape \(0, 1\)"),
+], ids=["3-d", "empty"])
+def test_as_sample_rejects_shapes(data, error):
+    with pytest.raises(DataQualityError, match=error):
+        as_sample(data)
+
+
 class TestPairwiseDistances:
     def test_single_point(self):
         d = pairwise_distances([[0.0]])

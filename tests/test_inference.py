@@ -90,9 +90,9 @@ class TestPermutationTest:
         for budget, bound in [
             (8 * n * n // 2, 8 * n * n // 2),
             (1000, 1000),
-            (inference.DEFAULT_MEMORY_BUDGET, 8 * n * n + block),
+            (core.DEFAULT_MEMORY_BUDGET, 8 * n * n + block),
         ]:
-            monkeypatch.setattr(inference, "DEFAULT_MEMORY_BUDGET", budget)
+            monkeypatch.setattr(core, "DEFAULT_MEMORY_BUDGET", budget)
             tracemalloc.start()
             try:
                 res = permutation_test(x, y, replicates=9, seed=1)
@@ -152,12 +152,39 @@ class TestPermutationTest:
         calls = []
         build = core._centered_shifts
         monkeypatch.setattr(core, "_centered_shifts", lambda *a: calls.append(a[1:]) or build(*a))
-        monkeypatch.setattr(inference, "DEFAULT_MEMORY_BUDGET", 1000)
+        monkeypatch.setattr(core, "DEFAULT_MEMORY_BUDGET", 1000)
         res = permutation_test(x, y, replicates=9, seed=3)
         # one shift per block (16 blocks, from shift 0), rebuilt for the statistic and each replicate
         assert calls == [(s, s + 1) for s in range(16)] * 10
         assert res.exceed_count == expected.exceed_count
         assert res.statistic == pytest.approx(expected.statistic, rel=1e-12)
+
+    # y's block: 1 MiB, or a quarter of the budget, of 8 n = 4800-byte shifts
+    @pytest.mark.parametrize("budget, rows", [(core.DEFAULT_MEMORY_BUDGET, (1 << 20) // 4800),
+                                              (3_000_000, 3_000_000 // 4 // 4800)], ids=["default", "3MB"])
+    def test_one_rule_keeps_x_layout(self, budget, rows, monkeypatch):
+        # at 3 MB and n = 600, x's layout (1.44 MB) fits next to y's block of `rows` shifts, while
+        # x's 600 x 600 matrix does not fit what is left: a raw x is still built stored at once
+        n = 600
+        rng = np.random.default_rng(12)
+        x3, y = rng.normal(size=(n, 3)), rng.normal(size=n)
+        x1 = x3[:, 0] ** 2
+        form = core._scaled(x1, 0)  # the sorted form, as the screen makes it past its stack rule
+        assert form.order is not None and form.shifts is None
+        monkeypatch.setattr(core, "DEFAULT_MEMORY_BUDGET", budget)  # the one budget inference reads
+        calls, made = [], []
+        build, work = core._centered_shifts, inference._workspace
+        monkeypatch.setattr(core, "_centered_shifts", lambda *a: calls.append(a[1:]) or build(*a))
+        monkeypatch.setattr(inference, "_workspace", lambda *a: made.append(work(*a)) or made[-1])
+        raw1 = permutation_test(x1, y, replicates=9, seed=3)
+        raw3 = permutation_test(x3, y, replicates=9, seed=3)
+        assert calls == []  # neither raw x is laid out a second time
+        laid_out = permutation_test(form, y, replicates=9, seed=3)
+        assert calls == [(0, n // 2 + 1)]  # laid out once from its row means, not per replicate
+        assert [w[0].shape for w in made] == [(rows, n)] * 3
+        assert laid_out.statistic.hex() == raw1.statistic.hex()
+        assert laid_out.exceed_count == raw1.exceed_count
+        assert raw3.statistic == pytest.approx(dcov_sq(x3, y), rel=1e-12)
 
     def test_replicates_share_one_workspace(self, monkeypatch):
         rng = np.random.default_rng(10)
@@ -195,8 +222,8 @@ class TestPermutationTest:
 
         # every replicate ties with the statistic, on every form of A
         monkeypatch.setattr(inference, "_replicate_rng", lambda seed, b: Identity())
-        for xv, budget in [(x, inference.DEFAULT_MEMORY_BUDGET), (x, 1000), (x[:, 0], 1000)]:
-            monkeypatch.setattr(inference, "DEFAULT_MEMORY_BUDGET", budget)
+        for xv, budget in [(x, core.DEFAULT_MEMORY_BUDGET), (x, 1000), (x[:, 0], 1000)]:
+            monkeypatch.setattr(core, "DEFAULT_MEMORY_BUDGET", budget)
             assert permutation_test(xv, y, replicates=9, seed=2).exceed_count == 9
 
     @pytest.mark.parametrize(
@@ -268,6 +295,11 @@ class TestPowerSimulation:
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             power_simulation("independent", 20, 1, 1.5, 9, 0)
+
+    def test_pearson_pvalue_of_constant_sample_is_one(self):
+        x = np.arange(6.0)
+        assert inference._pearson_permutation_pvalue(np.full(6, 2.5), x, 19, 1) == 1.0
+        assert inference._pearson_permutation_pvalue(x, np.full(6, 2.5), 19, 1) == 1.0
 
     def test_pearson_pvalue_of_tiny_spread(self):
         # the squared deviations of 1e-200 underflow to 0 unless scaled first

@@ -59,6 +59,10 @@ class TestEcf:
         with pytest.raises(DataQualityError):
             ecf_marginal([[0.0, 1.0]], [1.0])
 
+    def test_joint_dimension_mismatch(self):
+        with pytest.raises(DataQualityError, match="frequency dims 1, 1 do not match sample dims 2, 1"):
+            ecf_joint([[0.0, 1.0]], [[2.0]], [1.0], [1.0])
+
 
 class TestOracleSums:
     def test_two_point_hand_value(self):

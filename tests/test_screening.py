@@ -91,6 +91,15 @@ class TestLoadDataset:
         with pytest.raises(DataFormatError, match="group column"):
             load_dataset(write(tmp_path, COMPLETE), group_by="nope")
 
+    def test_empty_file(self, tmp_path):
+        path = write(tmp_path, "")
+        with pytest.raises(DataFormatError, match=" is empty$"):
+            load_dataset(path)
+
+    def test_unknown_selected_column(self, tmp_path):
+        with pytest.raises(DataFormatError, match="selected column 'zz' not found in header"):
+            load_dataset(write(tmp_path, COMPLETE), columns=["a", "zz"])
+
     def test_duplicate_header(self, tmp_path):
         with pytest.raises(DataFormatError, match="duplicate"):
             load_dataset(write(tmp_path, "a,a\n1,2\n"))
@@ -347,7 +356,7 @@ class TestPairwiseScreen:
         ds = replace(base, columns={**base.columns, "e": np.full(80, 2.5)})  # a constant column too
         cfg = ScreenConfig(p_values=True, replicates=9, seed=4)
         cached = pairwise_screen(ds, cfg)
-        monkeypatch.setattr(screening, "DEFAULT_MEMORY_BUDGET", 0)
+        monkeypatch.setattr(core, "DEFAULT_MEMORY_BUDGET", 0)
         per_pair = pairwise_screen(ds, cfg)  # past the stack rule: sorted forms and per-pair dcor
         assert (per_pair.metadata, per_pair.warnings) == (cached.metadata, cached.warnings)
         assert len(per_pair.records) == len(cached.records)
@@ -360,7 +369,7 @@ class TestPairwiseScreen:
 
     @pytest.mark.parametrize("n, budget", [
         pytest.param(n, budget, id=str(n) if budget else f"{n}-past-stack-rule")
-        for budget in (screening.DEFAULT_MEMORY_BUDGET, 0) for n in (3, 4, 11, 12)
+        for budget in (core.DEFAULT_MEMORY_BUDGET, 0) for n in (3, 4, 11, 12)
     ])
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
@@ -370,7 +379,7 @@ class TestPairwiseScreen:
         if sum(np.isfinite(v).all() for v in cols.values()) < len(cols):
             cols["full"] = np.arange(float(n))  # every group of rows has a complete column
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(screening, "DEFAULT_MEMORY_BUDGET", budget)
+            m.setattr(core, "DEFAULT_MEMORY_BUDGET", budget)
             table = pairwise_screen(Dataset(columns=cols, row_count=n))
         skipped = sum(w.startswith("pair ") for w in table.warnings)
         assert len(table.records) + skipped == len(cols) * (len(cols) - 1) // 2
@@ -471,7 +480,7 @@ class TestPairwiseScreen:
             ds = Dataset(columns=cols, row_count=60, group_labels=groups)
             with monkeypatch.context() as m:
                 table = pairwise_screen(ds, cfg)
-                m.setattr(screening, "DEFAULT_MEMORY_BUDGET", 0)
+                m.setattr(core, "DEFAULT_MEMORY_BUDGET", 0)
                 per_pair = pairwise_screen(ds, cfg)
             assert [(r.group, r.var_a, r.var_b, r.n, r.p_value) for r in table.records] == [
                 (r.group, r.var_a, r.var_b, r.n, r.p_value) for r in per_pair.records
@@ -495,7 +504,7 @@ class TestPairwiseScreen:
 
     def test_past_stack_rule_peak_is_linear(self, monkeypatch):
         # past the stack rule every column is a sorted form: no shift layout is built
-        monkeypatch.setattr(screening, "DEFAULT_MEMORY_BUDGET", 0)
+        monkeypatch.setattr(core, "DEFAULT_MEMORY_BUDGET", 0)
         per_pair = []
         kernel = core._shift_distances
         monkeypatch.setattr(core, "_shift_distances", lambda *a: per_pair.append(a) or kernel(*a))

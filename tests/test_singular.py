@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from distcorr.errors import ConvergenceError
 from distcorr.oracles import QuadratureSpec
 from distcorr.singular import (
     SingularParams,
@@ -36,6 +37,10 @@ class TestConstants:
         for alpha in (0.0, 2.0, -0.5, 2.5):
             with pytest.raises(ValueError, match="alpha"):
                 singular_constant(1, alpha)
+
+    def test_singular_constant_rejects_nonpositive_p(self):
+        with pytest.raises(ValueError, match="dimension p must be >= 1, got 0"):
+            singular_constant(0, 1.0)
 
     def test_monotone_in_x(self):
         c = singular_constant(1, 0.7)
@@ -80,6 +85,12 @@ class TestVerifySingularIntegral:
     def test_params_validation(self):
         with pytest.raises(ValueError):
             SingularParams(2.0, 1.0)
+
+    def test_coarse_quadrature_raises_convergence_error(self):
+        with pytest.raises(ConvergenceError, match="exceeds tolerance") as exc:
+            verify_singular_integral(SingularParams(1.0, 1.0), QuadratureSpec(panel_count=2, tolerance=1e-12))
+        assert exc.value.error_estimate > 1e-12 * math.pi
+        assert math.isfinite(exc.value.best_estimate)
 
     def test_respects_custom_spec(self):
         spec = QuadratureSpec(truncation_radius=500.0, panel_count=1024)
