@@ -25,7 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataQualityError, DegenerateVarianceError
-from .samples import _KERNEL_ROWS, Sample, _deviations, _shift_distances, _shifted, as_sample, check_same_n
+from .samples import (_KERNEL_ROWS, Sample, _deviations, _joined, _shift_distances, _window, as_sample,
+                      check_same_n)
 from .samples import _euclidean as cdist  # the full matrix of pairwise_distances
 
 # Bytes that dcov_sq and dcor may spend on N x N matrices or their blocks.
@@ -71,25 +72,26 @@ class CenteredMatrix:
         """Distance variance dVar: the square root of the inner product with itself."""
         return float(np.sqrt(self.inner(self)))
 
-    def _shift_rows(self, s0: int, s1: int) -> np.ndarray:
-        return _centered_shifts(self, s0, s1) if self.shifts is None else self.shifts[s0:s1]
+    def _shift_rows(self, s0: int, s1: int, out=None, tmp=None) -> np.ndarray:
+        return _centered_shifts(self, s0, s1, out, tmp) if self.shifts is None else self.shifts[s0:s1]
 
-    def _shift_sum(self, rows, step: int, term=np.vdot) -> float:
+    def _shift_sum(self, other: CenteredMatrix, step: int, term=np.vdot) -> float:
         """sum_s w_s term(A's row of shift s, the other's) over s = 0..n//2, in blocks of ``step``.
 
-        ``rows(s0, s1)`` gives the other's rows for s0 <= s < s1 (None: A's).  w_s = 2
-        for 0 < s < n/2 counts the mirror shift n - s too; s = 0 (the diagonal)
-        and s = n/2 are their own, with w_s = 1.
+        A side that is not stored is rebuilt into one block, allocated once
+        per sum.  w_s = 2 for 0 < s < n/2 counts the mirror shift n - s too;
+        s = 0 (the diagonal) and s = n/2 are their own, with w_s = 1.
         """
         total, n, h = 0.0, self.n, self.n // 2
+        blocks = [None if c.shifts is not None else np.empty((min(step, h + 1), n))
+                  for c in ((self,) if other is self else (self, other))]
         for s0 in range(0, h + 1, step):
             s1 = min(s0 + step, h + 1)
-            a = self._shift_rows(s0, s1)
-            b = a if rows is None else rows(s0, s1)
+            a = self._shift_rows(s0, s1, blocks[0])
+            b = a if other is self else other._shift_rows(s0, s1, blocks[-1])
             lo = int(s0 == 0)
             hi = max(lo, min(s1, (n + 1) // 2) - s0)  # rows lo..hi - 1 are the shifts 0 < s < n/2
             total += 2.0 * term(a[lo:hi], b[lo:hi]) + term(a[:lo], b[:lo]) + term(a[hi:], b[hi:])
-            del a, b  # so that at most one block per side is alive at a time
         return float(total)
 
     def _sorted_terms(self, other: CenteredMatrix) -> tuple[float, float]:
@@ -122,11 +124,10 @@ class CenteredMatrix:
         if self.order is not None and other.order is not None:
             total, scale = self._sorted_terms(other)
         else:
-            rows = None if other is self else other._shift_rows
             step = min(self.block_rows, other.block_rows)
-            total = self._shift_sum(rows, step) / nn
+            total = self._shift_sum(other, step) / nn
             if total < 0.0:  # only a negative sum needs the scale
-                scale = self._shift_sum(rows, step, _abs_dot) / nn
+                scale = self._shift_sum(other, step, _abs_dot) / nn
         if total >= 0.0:
             return total
         if math.isnan(total) or total < -1e-12 * max(scale, 1.0):
@@ -183,14 +184,14 @@ def _center(c: np.ndarray, row: np.ndarray, s0: int, grand) -> np.ndarray:
     grand means as a (K, 1, 1) array.
     """
     c -= row[..., None, :]
-    c -= _shifted(row, s0, s0 + c.shape[-2])
+    c -= _window(_joined(row), s0, s0 + c.shape[-2])
     c += grand
     return c
 
 
-def _centered_shifts(a: CenteredMatrix, s0: int, s1: int) -> np.ndarray:
-    """A's shift layout for the shifts s0 <= s < s1, rebuilt from a's sample and row means."""
-    return _center(_shift_distances(a.sample.data, s0, s1), a.row_mean, s0, a.grand_mean)
+def _centered_shifts(a: CenteredMatrix, s0: int, s1: int, out=None, tmp=None) -> np.ndarray:
+    """A's shift layout for the shifts s0 <= s < s1, rebuilt from a's sample and row means (into ``out``)."""
+    return _center(_shift_distances(a.sample.data, s0, s1, out, tmp), a.row_mean, s0, a.grand_mean)
 
 
 def _built(s: Sample, block_rows: int, store: bool) -> CenteredMatrix:
@@ -288,7 +289,7 @@ def _centered_columns(data: np.ndarray, exponents: np.ndarray, out: np.ndarray |
     grand = row.mean(axis=1)
     if out is not None:
         out = np.empty((k, n // 2 + 1, n)) if out is True else out
-        np.abs(np.subtract(_shifted(x, 0, n // 2 + 1), x[:, None, :], out=out), out=out)
+        np.abs(np.subtract(_window(_joined(x), 0, n // 2 + 1), x[:, None, :], out=out), out=out)
         _center(out, row, 0, grand[:, None, None])
     forms = []
     for j in range(k):

@@ -7,12 +7,14 @@ avoids the degenerate-denominator branch entirely.
 
 x's centered matrix A has rows and columns that sum to zero, so sum(A * B^perm) =
 sum_kl A_kl |y_perm(k) - y_perm(l)|.  So a replicate is the weighted shift sum
-that ``inner`` takes, of A against y[perm]'s distances at the same shifts (one
-strided view over y[perm] joined to itself): half of the n x n entries.  Shift
-0 of the distances is 0, so A's diagonal adds exactly 0.  The shifts come in
-blocks of at most ``REPLICATE_BLOCK_BYTES``, each reduced row by row while it
-is still in cache.  A's layout (8 n (n//2 + 1) bytes) is built once when it
-fits the budget next to one block, else rebuilt block by block per replicate.
+that ``inner`` takes, of A against y[perm]'s distances at the same shifts:
+half of the n x n entries, less shift 0, whose distances are 0.  y's permuted
+rows are written once per replicate into one buffer, joined to themselves,
+that every block reads; a permutation keeps y's exponent e, so the buffer
+holds y times 2^-e and the total is scaled by 2^e once, both exactly.  Blocks
+of at most ``REPLICATE_BLOCK_BYTES`` are each reduced by one ``np.vecdot``
+while in cache.  A's layout (8 n (n//2 + 1) bytes) is built once when it fits
+the budget next to one block, else rebuilt into a workspace block per block.
 
 Determinism: every replicate b draws its permutation from a generator
 seeded by (seed, b), so replicates can run in any order (or in parallel)
@@ -28,10 +30,10 @@ import numpy as np
 from . import core
 from .core import CenteredMatrix, _scaled, _unit, _unscaled, rows_that_fit
 from .errors import DataQualityError, UsageError
-from .samples import _shift_distances, as_sample, check_same_n
+from .samples import _columns, _joined_distances, as_sample, check_same_n
 
 # Most bytes in one block of a replicate's shifts (2^17 float64 entries): the
-# block that _shift_distances writes is still in cache when it is reduced.
+# block that the distance kernel writes is still in cache when it is reduced.
 REPLICATE_BLOCK_BYTES = 1 << 20
 
 
@@ -66,28 +68,37 @@ def _exceedances(statistic, observed: float, n: int, replicates: int, seed: int)
     return sum(statistic(perm) >= observed for perm in perms)
 
 
-def _workspace(rows: int, y: np.ndarray) -> tuple:
-    """One block of ``rows`` shifts of y's distances and, for a multivariate y, its temporary.
+def _workspace(rows: int, y: np.ndarray, a: CenteredMatrix) -> tuple:
+    """What every replicate reads and writes, made once per test: (z, e, joined, out, tmp, block).
 
-    Every replicate writes into them, so that none faults in fresh pages.
-    ``permutation_test`` sizes the block to at most ``REPLICATE_BLOCK_BYTES``.
+    y's ``_columns`` z (d, n) and e, the (d, 2n - 1) buffer for z[:, perm] joined to itself, and blocks of
+    ``rows`` shifts: its distances, the kernel's temporary if y or A is multivariate, A's if not stored.
     """
-    return np.empty((rows, len(y))), np.empty((rows, len(y))) if y.shape[1] > 1 else None
-
-
-def _row_dots(a: np.ndarray, b: np.ndarray) -> float:
-    """sum(a * b), one dot product per row: no part of a just-written block goes to a second BLAS thread."""
-    return float(np.vecdot(a, b).sum())
+    (n, dim), (z, e) = y.shape, _columns(y)
+    out, tmp, block = (np.empty((rows, n)) if need else None
+                       for need in (True, max(dim, a.sample.dim) > 1, a.shifts is None))
+    return np.ascontiguousarray(z), e, np.empty((dim, 2 * n - 1)), out, tmp, block
 
 
 def _permuted_dcov_sq(a: CenteredMatrix, y: np.ndarray, perm: np.ndarray, rows: int,
                       work: tuple | None = None) -> float:
-    """dcov^2(x, y[perm]) in blocks of ``rows`` shifts; ``work`` is ``_workspace(rows, y)``."""
-    yp, n = y[perm], a.n
-    out, tmp = _workspace(min(rows, n // 2 + 1), y) if work is None else work
-    total = a._shift_sum(lambda s0, s1: _shift_distances(yp, s0, s1, out, tmp), rows, _row_dots)
-    if math.isnan(total):
-        raise DataQualityError("a permutation replicate of dcov^2 came out NaN")
+    """dcov^2(x, y[perm]) in blocks of ``rows`` shifts from shift 1; ``work`` is ``_workspace(rows, y, a)``.
+
+    A block's weighted sum comes from slices of its row dots, bit for bit as from each part's
+    own ``np.vecdot``.  A total that is NaN or, times 2^e, beyond float64's range raises.
+    """
+    n, h, total = a.n, a.n // 2, 0.0
+    z, e, joined, out, tmp, block = _workspace(min(rows, h + 1), y, a) if work is None else work
+    np.take(z, perm, axis=1, out=joined[:, :n], mode="clip")  # nothing to clip: "raise" would buffer out
+    joined[:, n:] = joined[:, :n - 1]
+    for s0 in range(int(rows == 1), h + 1, rows):  # the first block starts at shift 1, or is shift 0 alone
+        s0, s1 = max(s0, 1), min(s0 + rows, h + 1)
+        dots = np.vecdot(a._shift_rows(s0, s1, block, tmp), _joined_distances(joined, s0, s1, out, tmp))
+        mid = max(0, min(s1, (n + 1) // 2) - s0)  # rows :mid are the shifts 0 < s < n/2, weighted 2
+        total += 2.0 * float(dots[:mid].sum()) + float(dots[mid:].sum())
+    total = _unscaled(total, e)
+    if not math.isfinite(total):
+        raise DataQualityError("a permutation replicate of dcov^2 came out NaN or beyond float64's range")
     return max(total / (n * n), 0.0)
 
 
@@ -101,7 +112,7 @@ def permutation_test(x, y, replicates: int, seed: int) -> TestResult:
     layout is laid out once; otherwise a raw x takes the form that is not
     stored.  A block holds at most ``REPLICATE_BLOCK_BYTES`` of y's distances
     (and a quarter of the budget), and each block is summed one dot product
-    per row (``_row_dots``).  The observed statistic is the identity's
+    per row (``np.vecdot``).  The observed statistic is the identity's
     replicate, so ties compare equal.
 
     p-value uses the add-one formula (1 + #{perm >= observed}) / (1 + B),
@@ -124,7 +135,7 @@ def permutation_test(x, y, replicates: int, seed: int) -> TestResult:
     a = _scaled(xs, None if keep else left)
     if keep and a.shifts is None:  # a form that arrives without its layout: laid out from its row means
         a = replace(a, shifts=core._centered_shifts(a, 0, h + 1))
-    work = _workspace(rows, ys.data)
+    work = _workspace(rows, ys.data, a)
     observed = _permuted_dcov_sq(a, ys.data, np.arange(n), rows, work)
     exceed = _exceedances(
         lambda perm: _permuted_dcov_sq(a, ys.data, perm, rows, work), observed, n, replicates, seed

@@ -120,43 +120,55 @@ def _euclidean(XA: np.ndarray, XB: np.ndarray) -> np.ndarray:
     return np.ldexp(np.sqrt(out, out=out), e, out=out)
 
 
-def _shifted(z: np.ndarray, s0: int, s1: int) -> np.ndarray:
-    """[..., s - s0, k] = z[..., (k + s) % n] for s0 <= s < s1: a strided view over z joined to itself.
+def _columns(data: np.ndarray) -> tuple[np.ndarray, int]:
+    """data's columns (d, n) times 2^-e, and e: ``_even_exponent``, or 0 for a scalar sample."""
+    e = _even_exponent(data) if data.shape[1] > 1 else 0
+    return (np.ldexp(data, -e) if e else data).T, e
 
-    The shift runs along z's last axis, of length n, for each of its leading
-    indices.  For a 1-D z it is ``sliding_window_view(joined, n)[s0:s1]``,
-    built directly: that function's argument checks cost about 20 us a
-    call, a sixth of a permutation replicate at n = 300.
-    """
-    n = z.shape[-1]
-    joined = np.concatenate((z, z[..., :-1]), axis=-1)
+
+def _joined(z: np.ndarray) -> np.ndarray:
+    """z joined to itself along its last axis, less the last entry: (..., 2n - 1)."""
+    return np.concatenate((z, z[..., :-1]), axis=-1)
+
+
+def _window(joined: np.ndarray, s0: int, s1: int) -> np.ndarray:
+    """[..., s - s0, k] = z[..., (k + s) % n] for s0 <= s < s1, z ``_joined``: an unchecked sliding window."""
+    n = (joined.shape[-1] + 1) // 2
     *lead, step = joined.strides
-    return np.ndarray((*z.shape[:-1], s1 - s0, n), joined.dtype, joined, s0 * step, (*lead, step, step))
+    return np.ndarray((*joined.shape[:-1], s1 - s0, n), joined.dtype, joined, s0 * step, (*lead, step, step))
 
 
-def _shift_distances(data: np.ndarray, s0: int, s1: int,
-                     out: np.ndarray | None = None, tmp: np.ndarray | None = None) -> np.ndarray:
-    """|z_((k+s) mod n) - z_k| for the shifts s0 <= s < s1: one row of n per shift.
+def _joined_distances(joined: np.ndarray, s0: int, s1: int, out=None, tmp=None) -> np.ndarray:
+    """|z_((k+s) mod n) - z_k| for s0 <= s < s1, of columns z (d, n) ``_joined``: the one distance kernel.
 
-    Entry [s - s0, k] equals ``_euclidean(data, data)[k, (k + s) % n]`` bit for
-    bit: the same differences, squares, order of dimensions and exact scaling.
-    ``out``, of at least s1 - s0 rows of n, takes the result in its first rows.
-    A multivariate sample's per-dimension temporary ``tmp`` covers as many
-    shifts at a time as it has rows (``_KERNEL_ROWS`` if made here).
+    ``out`` (at least s1 - s0 rows of n) takes them in its first rows.  A scalar z is copied from
+    the view into ``out`` and subtracted there, faster than from the view.  A multivariate z adds
+    its squared differences a dimension at a time through ``tmp``, as many shifts as it has rows
+    (16 if made here, on top of a block of each side).
     """
-    dim = data.shape[1]
-    e = _even_exponent(data) if dim > 1 else 0
-    z = (np.ldexp(data, -e) if e else data).T
-    shifted = _shifted(z, s0, s1)  # [j, s, k] = z_j(k+s)
-    out = np.subtract(shifted[0], z[0], out=None if out is None else out[:s1 - s0])
+    dim, n = joined.shape[0], (joined.shape[1] + 1) // 2
+    z, shifted = joined[:, :n], _window(joined, s0, s1)  # shifted[j, s, k] = z_j(k+s)
+    out = np.empty((s1 - s0, n)) if out is None else out[:s1 - s0]
     if dim == 1:
-        return np.abs(out, out=out)
+        np.copyto(out, shifted[0])
+        return np.abs(np.subtract(out, z[0], out=out), out=out)
+    np.subtract(shifted[0], z[0], out=out)
     np.multiply(out, out, out=out)
-    tmp = np.empty((min(_KERNEL_ROWS, max(s1 - s0, 1)), z.shape[1])) if tmp is None else tmp
+    tmp = np.empty((min(_KERNEL_ROWS // 4, max(s1 - s0, 1)), n)) if tmp is None else tmp
     for i0 in range(0, s1 - s0, len(tmp)):
         rows = slice(i0, i0 + len(tmp))
         diff = tmp[:len(out[rows])]
         for j in range(1, dim):
             np.subtract(shifted[j, rows], z[j], out=diff)
             out[rows] += np.multiply(diff, diff, out=diff)
-    return np.ldexp(np.sqrt(out, out=out), e, out=out)
+    return np.sqrt(out, out=out)
+
+
+def _shift_distances(data: np.ndarray, s0: int, s1: int, out=None, tmp=None) -> np.ndarray:
+    """|z_((k+s) mod n) - z_k| for s0 <= s < s1: ``_joined_distances`` of data's ``_columns``, times 2^e.
+
+    Entry [s - s0, k] equals ``_euclidean(data, data)[k, (k + s) % n]`` bit for bit.
+    """
+    z, e = _columns(data)
+    d = _joined_distances(_joined(z), s0, s1, out, tmp)
+    return np.ldexp(d, e, out=d) if e else d

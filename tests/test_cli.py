@@ -232,7 +232,8 @@ class TestScreen:
         )
         assert code == 0
         assert out["pairs"] == 528
-        lines = open(out_path).read().strip().split("\n")
+        with open(out_path) as fh:
+            lines = fh.read().strip().split("\n")
         assert len(lines) == 529
 
     def test_no_partial_file_on_failure(self, tmp_path):
@@ -316,7 +317,8 @@ class TestScreen:
         )
         assert code == 0
         assert out["groups"] == 2
-        assert len(json.loads(open(out_path).read())) == 2
+        with open(out_path) as fh:
+            assert len(json.load(fh)) == 2
 
 
 @pytest.mark.parametrize("cell", ["inf", "1e999", "nan"])

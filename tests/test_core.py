@@ -368,6 +368,22 @@ class TestDcovSq:
                 tracemalloc.stop()
             assert peak <= budget + 96 * 8 * n
 
+    def test_streaming_sum_reuses_one_block_per_side(self):
+        # 512 shifts per block at 32 MiB: each side rebuilds into one block for the whole sum,
+        # and the kernel's temporary on top stays below 64 shifts; the value is unchanged
+        rng = np.random.default_rng(22)
+        n = 3000
+        x, y = rng.normal(size=(n, 3)), rng.normal(size=(n, 2))
+        y[:, 0] += x[:, 0] ** 2
+        tracemalloc.start()
+        try:
+            stats = dcor(x, y, memory_budget=32 << 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (stats.dcor.hex(), stats.dcov_sq.hex()) == ("0x1.cae1d52e295c2p-3", "0x1.03dfa0bf1f55dp-5")
+        assert peak <= 2 * 8 * n * core.STREAM_BLOCK_ROWS + 8 * n * 64
+
     def test_auto_dispatch_small_budget_uses_streaming(self):
         rng = np.random.default_rng(1)
         x, y = rng.normal(size=(64, 1)), rng.normal(size=(64, 1))

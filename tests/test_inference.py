@@ -12,8 +12,9 @@ from distcorr.core import dcov_sq, double_center
 from distcorr.errors import DataQualityError, UsageError
 from distcorr.inference import permutation_test, power_simulation
 from distcorr.oracles import dcov_sq_oracle_sums
-from distcorr.samples import _euclidean
+from distcorr.samples import _euclidean, _even_exponent, as_sample
 
+import centered
 from centered import dense
 
 
@@ -145,17 +146,45 @@ class TestPermutationTest:
                 assert np.array_equal(a.shifts[s], full[k, (k + s) % n])
                 assert np.array_equal(rebuilt[s], full[k, (k + s) % n])
 
+    # y: (dims, kind); once scaled, "near1" has _even_exponent 0 (each column spans [0, 1.5]) and "far" 2
+    Y_CASES = [(1, "normal"), (2, "far"), (2, "near1"), (3, "far"), (3, "near1"), (1, "tied"),
+               (2, "tied"), (1, "constant"), (3, "constant")]
+
+    @pytest.mark.parametrize("n, budget", [(n, b) for n in (2, 3, 17, 300, 301) for b in (1 << 30, 1_000_000, 1000)]
+                             + [(3001, 1 << 30), (3001, 1_000_000)])
+    def test_replicates_equal_the_reference_bit_for_bit(self, n, budget, monkeypatch):
+        # 1 GiB: A stored, one block up to n = 301 and 35 at 3001; 1 MB: A stored in two blocks at
+        # n = 300 and 301, rebuilt in blocks of 10 shifts at 3001; 1000: rebuilt a shift at a time from n = 17
+        monkeypatch.setattr(core, "DEFAULT_MEMORY_BUDGET", budget)
+        rng = np.random.default_rng(n)
+        for i, (dim, kind) in enumerate(self.Y_CASES[::2] if n > 1000 else self.Y_CASES):
+            y = rng.uniform(0.0, 1.5, (n, dim))
+            y[:2] = [[0.0], [1.5]]
+            y = {"normal": rng.normal(size=(n, dim)), "near1": y, "far": y + 6.0,
+                 "tied": rng.integers(0, 3, (n, dim)).astype(float), "constant": np.full((n, dim), 2.5)}[kind]
+            if kind in ("near1", "far"):
+                assert _even_exponent(core._unit(as_sample(y))[0].data) == (kind == "far") * 2
+            x = (y[:, :1] ** 2 + rng.normal(size=(n, 1))) @ np.ones((1, (1, 3, 2)[i % 3]))
+            x += rng.normal(size=x.shape) * 0.1
+            replicates = 3 if n > 1000 else 9 if n >= 300 else 19
+            res = permutation_test(x, y, replicates, seed=i)
+            with monkeypatch.context() as m:
+                m.setattr(inference, "_permuted_dcov_sq", centered.replicate)
+                ref = permutation_test(x, y, replicates, seed=i)
+            case = (dim, kind, x.shape[1])
+            assert (res.statistic.hex(), res.exceed_count) == (ref.statistic.hex(), ref.exceed_count), case
+
     def test_tiny_budget_rebuilds_c_for_each_replicate(self, monkeypatch):
         rng = np.random.default_rng(9)
         x, y = rng.normal(size=(30, 2)), rng.normal(size=30)
         expected = permutation_test(x, y, replicates=9, seed=3)
         calls = []
         build = core._centered_shifts
-        monkeypatch.setattr(core, "_centered_shifts", lambda *a: calls.append(a[1:]) or build(*a))
+        monkeypatch.setattr(core, "_centered_shifts", lambda *a: calls.append(a[1:3]) or build(*a))
         monkeypatch.setattr(core, "DEFAULT_MEMORY_BUDGET", 1000)
         res = permutation_test(x, y, replicates=9, seed=3)
-        # one shift per block (16 blocks, from shift 0), rebuilt for the statistic and each replicate
-        assert calls == [(s, s + 1) for s in range(16)] * 10
+        # one shift per block (16 blocks, shift 0's skipped), rebuilt for the statistic and each replicate
+        assert calls == [(s, s + 1) for s in range(1, 16)] * 10
         assert res.exceed_count == expected.exceed_count
         assert res.statistic == pytest.approx(expected.statistic, rel=1e-12)
 
@@ -181,7 +210,7 @@ class TestPermutationTest:
         assert calls == []  # neither raw x is laid out a second time
         laid_out = permutation_test(form, y, replicates=9, seed=3)
         assert calls == [(0, n // 2 + 1)]  # laid out once from its row means, not per replicate
-        assert [w[0].shape for w in made] == [(rows, n)] * 3
+        assert [w[3].shape for w in made] == [(rows, n)] * 3
         assert laid_out.statistic.hex() == raw1.statistic.hex()
         assert laid_out.exceed_count == raw1.exceed_count
         assert raw3.statistic == pytest.approx(dcov_sq(x3, y), rel=1e-12)
@@ -195,7 +224,7 @@ class TestPermutationTest:
         monkeypatch.setattr(inference, "_workspace", lambda *a: made.append(build(*a)) or made[-1])
         res = permutation_test(x, y, replicates=9, seed=4)
         # y's shift block and its temporary are allocated once, for the statistic and every replicate
-        assert len(made) == 1 and made[0][0].shape == made[0][1].shape == (16, 30)
+        assert len(made) == 1 and made[0][3].shape == made[0][4].shape == (16, 30)
         assert res == expected
 
     @pytest.mark.parametrize("n, rows", [(300, 151), (3000, (1 << 17) // 3000)])
@@ -207,7 +236,34 @@ class TestPermutationTest:
         monkeypatch.setattr(inference, "_workspace", lambda *a: made.append(build(*a)) or made[-1])
         permutation_test(x, y, replicates=1, seed=4)
         # the whole layout while it fits in 2^17 float64 entries, else as many shifts as fit
-        assert len(made) == 1 and made[0][0].shape == (rows, n) and made[0][0].size <= 1 << 17
+        assert len(made) == 1 and made[0][3].shape == (rows, n) and made[0][3].size <= 1 << 17
+
+    @pytest.mark.parametrize("budget", [core.DEFAULT_MEMORY_BUDGET, 4_000_000], ids=["stored", "rebuilt"])
+    @pytest.mark.parametrize("dims", [(1, 1), (3, 2)])
+    def test_replicates_allocate_linear_memory(self, dims, budget, monkeypatch):
+        # after the observed statistic every replicate writes into the test's workspace, A's
+        # rebuilt blocks (at 4 MB and n = 3000, 41 shifts of 3000) included: it allocates O(n),
+        # numpy's iterator buffers (64 KiB for a broadcast subtract) among it
+        n = 3000
+        monkeypatch.setattr(core, "DEFAULT_MEMORY_BUDGET", budget)
+        rng = np.random.default_rng(30)
+        x, y = rng.normal(size=(n, dims[0])), rng.normal(size=(n, dims[1]))
+        replicate_rng, before = inference._replicate_rng, []
+
+        def measured_from_the_first_replicate(seed, b):
+            if b == 1:
+                tracemalloc.reset_peak()
+                before.append(tracemalloc.get_traced_memory()[0])
+            return replicate_rng(seed, b)
+
+        monkeypatch.setattr(inference, "_replicate_rng", measured_from_the_first_replicate)
+        tracemalloc.start()
+        try:
+            permutation_test(x, y, replicates=9, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before[0] <= 64 * n * max(dims)
 
     def test_statistic_is_the_identity_replicate(self, monkeypatch):
         rng = np.random.default_rng(8)
