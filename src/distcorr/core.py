@@ -1,9 +1,9 @@
 """Empirical distance covariance/correlation and Pearson correlation.
 
 Each sample gets one ``CenteredMatrix``, its double-centered distance matrix
-laid out by shift, and every statistic is one weighted sum over blocks of
-shifts of two of them (``_shift_sum``), as is every permutation replicate;
-``gram`` takes those sums for every pair of K stored layouts at once.
+laid out by shift, and every statistic is one weighted sum over shifts of two
+of them, as is every permutation replicate: ``_shift_sum`` in blocks sized by
+``block_rows``, and ``gram`` for every pair of K stored layouts at once.
 ``rows_that_fit`` is the one byte rule: a sample whose N x N float64 matrix
 fits its budget is materialized, its shifts stored (about half of that matrix).
 Otherwise a scalar sample takes the sorted form, whose inner product with
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -32,14 +32,10 @@ from .samples import _euclidean as cdist  # the full matrix of pairwise_distance
 # Bytes that dcov_sq and dcor may spend on N x N matrices or their blocks.
 DEFAULT_MEMORY_BUDGET = 1 << 30  # 1 GiB
 
-# Most shifts per block in the streaming path.  Set by the budget and n alone,
-# not by scheduling, so results are deterministic.
-STREAM_BLOCK_ROWS = 512
-
-
-def _abs_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """sum(|a * b|), row by row so that it adds O(n) memory."""
-    return sum(float(np.abs(ra * rb).sum()) for ra, rb in zip(a, b))
+# Most bytes in one block of shifts that is rebuilt or written (2^17 float64
+# entries), so that it is still in cache when it is reduced.  Set by n and the
+# budget alone (``block_rows``), not by scheduling, so results are deterministic.
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,6 +47,7 @@ class CenteredMatrix:
     [s, k] = A_k,(k+s) mod n for s = 0..n//2, and None otherwise; its row 0
     is the diagonal m - 2 m_k, as a_kk = 0.  ``order``
     sorts a scalar sample in the sorted form, and is None in the other two.
+    ``block_rows`` bounds a rebuilt block's shifts (None: ``BLOCK_BYTES``).
     ``sample`` is the data times 2^-scale, so ``dvar`` and ``inner`` are
     2^-scale and 2^-(scale + other.scale) times the data's.
     """
@@ -59,7 +56,7 @@ class CenteredMatrix:
     row_mean: np.ndarray
     grand_mean: float
     shifts: np.ndarray | None = None
-    block_rows: int = STREAM_BLOCK_ROWS
+    block_rows: int | None = None
     order: np.ndarray | None = None
     scale: int = 0
 
@@ -75,24 +72,23 @@ class CenteredMatrix:
     def _shift_rows(self, s0: int, s1: int, out=None, tmp=None) -> np.ndarray:
         return _centered_shifts(self, s0, s1, out, tmp) if self.shifts is None else self.shifts[s0:s1]
 
-    def _shift_sum(self, other: CenteredMatrix, step: int, term=np.vdot) -> float:
-        """sum_s w_s term(A's row of shift s, the other's) over s = 0..n//2, in blocks of ``step``.
+    def _shift_sum(self, rows, step: int, first: int = 0, block=None, tmp=None, dots=np.vecdot) -> float:
+        """sum_s w_s A_s . B_s over s = first..n//2, B's rows of shifts s0..s1 - 1 being ``rows(s0, s1)`` (A's if None).
 
-        A side that is not stored is rebuilt into one block, allocated once
-        per sum.  w_s = 2 for 0 < s < n/2 counts the mirror shift n - s too;
-        s = 0 (the diagonal) and s = n/2 are their own, with w_s = 1.
+        Blocks of ``step`` shifts start at its multiples, the first at ``first``; each is reduced by one
+        ``dots`` call, a dot product per row.  A that is not stored is rebuilt into ``block``, with ``tmp``
+        as the kernel's temporary.  w_s = 2 for 0 < s < n/2 counts the mirror shift n - s too; s = 0
+        (the diagonal) and s = n/2 are their own, with w_s = 1.
         """
-        total, n, h = 0.0, self.n, self.n // 2
-        blocks = [None if c.shifts is not None else np.empty((min(step, h + 1), n))
-                  for c in ((self,) if other is self else (self, other))]
-        for s0 in range(0, h + 1, step):
-            s1 = min(s0 + step, h + 1)
-            a = self._shift_rows(s0, s1, blocks[0])
-            b = a if other is self else other._shift_rows(s0, s1, blocks[-1])
-            lo = int(s0 == 0)
-            hi = max(lo, min(s1, (n + 1) // 2) - s0)  # rows lo..hi - 1 are the shifts 0 < s < n/2
-            total += 2.0 * term(a[lo:hi], b[lo:hi]) + term(a[:lo], b[:lo]) + term(a[hi:], b[hi:])
-        return float(total)
+        total, n = 0.0, self.n
+        for s0 in range(first - first % step, n // 2 + 1, step):
+            s0, s1 = max(s0, first), min(s0 + step, n // 2 + 1)
+            a = self._shift_rows(s0, s1, block, tmp)
+            d = dots(a, a if rows is None else rows(s0, s1))
+            lo, mid = 1 if s0 == 0 else 0, max(0, min(s1, (n + 1) // 2) - s0)  # rows lo..mid - 1: 0 < s < n/2
+            part = 2.0 * float(d[lo:mid].sum()) + float(d[mid:].sum())
+            total += part + float(d[0]) if lo else part  # the diagonal only in the block that holds it
+        return total
 
     def _sorted_terms(self, other: CenteredMatrix) -> tuple[float, float]:
         """sum(A * B) / n^2 of two sorted forms, and the sum of its three terms' magnitudes.
@@ -117,17 +113,27 @@ class CenteredMatrix:
         """Squared distance covariance sum(A * B) / n^2, checked against a scale.
 
         Two sorted forms take ``cross_term``, with the sum of the three
-        terms' magnitudes as the scale.  Any other pair takes the weighted
-        shift sum, with sum(|A * B|) / n^2 as the scale.
+        terms' magnitudes as the scale.  Two stored layouts take one threaded
+        ``np.vdot`` per weighted part, as their layouts come from memory.  Any
+        other pair takes ``_shift_sum`` in blocks of the fewest shifts that
+        ``block_rows`` allows, each side that is not stored rebuilt into one
+        block for the whole sum.  The scale is then sum(|A * B|) / n^2.
         """
-        nn = check_same_n(self, other) ** 2
+        n = check_same_n(self, other)
         if self.order is not None and other.order is not None:
             total, scale = self._sorted_terms(other)
         else:
-            step = min(self.block_rows, other.block_rows)
-            total = self._shift_sum(other, step) / nn
+            step = min(block_rows(n, BLOCK_BYTES), self.block_rows or n, other.block_rows or n)
+            blocks = [None if c.shifts is not None else np.empty((step, n)) for c in dict.fromkeys((self, other))]
+            rows = None if other is self else partial(other._shift_rows, out=blocks[1])
+            if self.shifts is not None and other.shifts is not None:
+                a, b, mid = self.shifts, other.shifts, (n + 1) // 2
+                total = float(2.0 * np.vdot(a[1:mid], b[1:mid]) + np.vdot(a[:1], b[:1]) + np.vdot(a[mid:], b[mid:]))
+            else:
+                total = self._shift_sum(rows, step, 0, blocks[0])
+            total /= n * n
             if total < 0.0:  # only a negative sum needs the scale
-                scale = self._shift_sum(other, step, _abs_dot) / nn
+                scale = self._shift_sum(rows, step, 0, blocks[0], None, lambda a, b: np.abs(a * b).sum(1)) / (n * n)
         if total >= 0.0:
             return total
         if math.isnan(total) or total < -1e-12 * max(scale, 1.0):
@@ -225,21 +231,26 @@ def rows_that_fit(n: int, memory_budget: int) -> int:
     return memory_budget // (8 * max(n, 1))
 
 
+def block_rows(n: int, memory_budget: int) -> int:
+    """Shifts per block that is rebuilt or written: as many as fit ``BLOCK_BYTES`` and the budget, 1 to n//2 + 1."""
+    return min(n // 2 + 1, max(1, rows_that_fit(n, min(BLOCK_BYTES, memory_budget))))
+
+
 def double_center(x, memory_budget: int | None = None) -> CenteredMatrix:
     """The CenteredMatrix of a sample, materialized if its N x N matrix fits ``memory_budget`` bytes.
 
     With no budget it is always materialized.  A scalar sample is the stack
     of one column (``_centered_columns``), materialized or in the sorted
     form.  A multivariate one is built by ``_built``, and streams when it
-    does not fit, in blocks of as many shifts as rows fit (at least one, at
-    most ``STREAM_BLOCK_ROWS``).  The sample is taken as it is, with scale 0.
+    does not fit, in blocks of ``block_rows(n, memory_budget)`` shifts.
+    The sample is taken as it is, with scale 0.
     """
     s = as_sample(x)
     rows = s.n if memory_budget is None else rows_that_fit(s.n, memory_budget)
     if s.is_scalar:
         return _centered_columns(s.data.T, np.zeros(1, dtype=int), None if rows < s.n else True)[0][0]
     if rows < s.n:
-        return _built(s, max(1, min(rows, STREAM_BLOCK_ROWS)), store=False)
+        return _built(s, block_rows(s.n, memory_budget), store=False)
     return _built(s, s.n, True)
 
 
@@ -295,7 +306,7 @@ def _centered_columns(data: np.ndarray, exponents: np.ndarray, out: np.ndarray |
     for j in range(k):
         s = Sample(x[j, :, None])
         s.__dict__["deviations"] = d[j], int(e[j])  # the cached_property's value
-        layout = {"order": order[j]} if out is None else {"shifts": out[j], "block_rows": n}
+        layout = {"order": order[j]} if out is None else {"shifts": out[j]}
         forms.append(CenteredMatrix(s, row[j], float(grand[j]), scale=int(exponents[j]), **layout))
     return forms, d
 

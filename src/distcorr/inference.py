@@ -6,15 +6,14 @@ invariant, so both statistics induce the same p-value, and the covariance
 avoids the degenerate-denominator branch entirely.
 
 x's centered matrix A has rows and columns that sum to zero, so sum(A * B^perm) =
-sum_kl A_kl |y_perm(k) - y_perm(l)|.  So a replicate is the weighted shift sum
-that ``inner`` takes, of A against y[perm]'s distances at the same shifts:
-half of the n x n entries, less shift 0, whose distances are 0.  y's permuted
+sum_kl A_kl |y_perm(k) - y_perm(l)|.  So a replicate is A's ``_shift_sum``, the
+loop that ``inner`` takes, against y[perm]'s distances at the same shifts from
+shift 1 (shift 0's are 0), in blocks of ``core.block_rows``.  y's permuted
 rows are written once per replicate into one buffer, joined to themselves,
 that every block reads; a permutation keeps y's exponent e, so the buffer
-holds y times 2^-e and the total is scaled by 2^e once, both exactly.  Blocks
-of at most ``REPLICATE_BLOCK_BYTES`` are each reduced by one ``np.vecdot``
-while in cache.  A's layout (8 n (n//2 + 1) bytes) is built once when it fits
-the budget next to one block, else rebuilt into a workspace block per block.
+holds y times 2^-e and the total is scaled by 2^e once, both exactly.  A's
+layout (8 n (n//2 + 1) bytes) is built once when it fits the budget next to
+one block, else rebuilt into a workspace block per block.
 
 Determinism: every replicate b draws its permutation from a generator
 seeded by (seed, b), so replicates can run in any order (or in parallel)
@@ -28,13 +27,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import core
-from .core import CenteredMatrix, _scaled, _unit, _unscaled, rows_that_fit
+from .core import CenteredMatrix, _scaled, _unit, _unscaled, block_rows
 from .errors import DataQualityError, UsageError
 from .samples import _columns, _joined_distances, as_sample, check_same_n
-
-# Most bytes in one block of a replicate's shifts (2^17 float64 entries): the
-# block that the distance kernel writes is still in cache when it is reduced.
-REPLICATE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -82,21 +77,15 @@ def _workspace(rows: int, y: np.ndarray, a: CenteredMatrix) -> tuple:
 
 def _permuted_dcov_sq(a: CenteredMatrix, y: np.ndarray, perm: np.ndarray, rows: int,
                       work: tuple | None = None) -> float:
-    """dcov^2(x, y[perm]) in blocks of ``rows`` shifts from shift 1; ``work`` is ``_workspace(rows, y, a)``.
+    """dcov^2(x, y[perm]): A's ``_shift_sum`` against y[perm]'s distances from shift 1, in blocks of ``rows``.
 
-    A block's weighted sum comes from slices of its row dots, bit for bit as from each part's
-    own ``np.vecdot``.  A total that is NaN or, times 2^e, beyond float64's range raises.
+    ``work`` is ``_workspace(rows, y, a)``.  A total that is NaN or, times 2^e, beyond float64's range raises.
     """
-    n, h, total = a.n, a.n // 2, 0.0
-    z, e, joined, out, tmp, block = _workspace(min(rows, h + 1), y, a) if work is None else work
+    n = len(perm)
+    z, e, joined, out, tmp, block = _workspace(min(rows, n // 2 + 1), y, a) if work is None else work
     np.take(z, perm, axis=1, out=joined[:, :n], mode="clip")  # nothing to clip: "raise" would buffer out
     joined[:, n:] = joined[:, :n - 1]
-    for s0 in range(int(rows == 1), h + 1, rows):  # the first block starts at shift 1, or is shift 0 alone
-        s0, s1 = max(s0, 1), min(s0 + rows, h + 1)
-        dots = np.vecdot(a._shift_rows(s0, s1, block, tmp), _joined_distances(joined, s0, s1, out, tmp))
-        mid = max(0, min(s1, (n + 1) // 2) - s0)  # rows :mid are the shifts 0 < s < n/2, weighted 2
-        total += 2.0 * float(dots[:mid].sum()) + float(dots[mid:].sum())
-    total = _unscaled(total, e)
+    total = _unscaled(a._shift_sum(lambda s0, s1: _joined_distances(joined, s0, s1, out, tmp), rows, 1, block, tmp), e)
     if not math.isfinite(total):
         raise DataQualityError("a permutation replicate of dcov^2 came out NaN or beyond float64's range")
     return max(total / (n * n), 0.0)
@@ -107,13 +96,11 @@ def permutation_test(x, y, replicates: int, seed: int) -> TestResult:
 
     x and y are samples or their CenteredMatrix objects from ``_scaled``.
     ``core.DEFAULT_MEMORY_BUDGET`` covers A's shift layout and one block of
-    shifts of y's (scaled) distances with its temporary.  While the layout
-    fits next to the block, a raw x is built stored and a form without its
-    layout is laid out once; otherwise a raw x takes the form that is not
-    stored.  A block holds at most ``REPLICATE_BLOCK_BYTES`` of y's distances
-    (and a quarter of the budget), and each block is summed one dot product
-    per row (``np.vecdot``).  The observed statistic is the identity's
-    replicate, so ties compare equal.
+    ``block_rows(n, budget // 4)`` shifts of y's (scaled) distances with its
+    temporary.  While the layout fits next to the block, a raw x is built
+    stored and a form without its layout is laid out once; otherwise a raw x
+    takes the form that is not stored.  The observed statistic is the
+    identity's replicate, so ties compare equal.
 
     p-value uses the add-one formula (1 + #{perm >= observed}) / (1 + B),
     so it is never exactly 0; ties count as exceedances (conservative).
@@ -127,7 +114,7 @@ def permutation_test(x, y, replicates: int, seed: int) -> TestResult:
     # a block of shifts of y's distances and its temporary take 16 n bytes per shift,
     # and a rebuilt block of A's shift layout as much: at most half of the budget each
     budget = core.DEFAULT_MEMORY_BUDGET
-    rows = min(h + 1, max(1, rows_that_fit(n, min(REPLICATE_BLOCK_BYTES, budget // 4))))
+    rows = block_rows(n, budget // 4)
     left = budget - 16 * n * rows
     keep = 8 * n * (h + 1) <= left  # x's layout fits next to y's block: built once, and kept
     xs = x if isinstance(x, CenteredMatrix) else as_sample(x)

@@ -136,12 +136,12 @@ def load_dataset(
     """Parse a delimited file with a header row into numeric columns.
 
     The file is UTF-8 text, with or without a byte-order mark.  Missing
-    values are empty cells; any other cell must be a finite number,
-    and a column may be selected once.  Names (the header's, ``group_by``,
-    ``columns``) are compared without surrounding spaces.  Policy
-    ``reject`` aborts on the first missing cell; ``drop-row`` removes rows
-    with a missing value in any selected column and reports the count;
-    ``pairwise-drop`` keeps NaNs for per-pair complete-case handling downstream.
+    values are empty cells; any other cell must be a finite number, and a
+    column may be selected once, the group column not at all.  Names (the
+    header's, ``group_by``, ``columns``) are compared without surrounding
+    spaces.  Policy ``reject`` aborts on the first missing cell; ``drop-row``
+    removes rows with a missing value in any selected column and reports the
+    count; ``pairwise-drop`` keeps NaNs for per-pair complete-case handling downstream.
     """
     if missing_policy not in MISSING_POLICIES:
         raise UsageError(
@@ -149,6 +149,9 @@ def load_dataset(
         )
     if not (isinstance(delimiter, str) and len(delimiter) == 1):
         raise UsageError(f"delimiter must be exactly one character, got {delimiter!r}")
+    group_by = None if group_by is None else group_by.strip()
+    if group_by in [name.strip() for name in columns or ()]:  # constant within a group: every pair noise
+        raise UsageError(f"group column {group_by!r} cannot also be a selected column")
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
@@ -172,7 +175,6 @@ def load_dataset(
         i, row = next((i, row) for i, row in enumerate(rows, start=1) if len(row) != len(header))
         raise DataFormatError(f"ragged row {i}: expected {len(header)} cells, got {len(row)}")
 
-    group_by = None if group_by is None else group_by.strip()
     if group_by is not None and group_by not in header:
         raise DataFormatError(f"group column {group_by!r} not found in header")
     selected = [name.strip() for name in columns] if columns is not None else [

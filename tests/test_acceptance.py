@@ -11,15 +11,16 @@ import numpy as np
 import pytest
 
 from distcorr.core import (
+    BLOCK_BYTES,
     DEFAULT_MEMORY_BUDGET,
-    STREAM_BLOCK_ROWS,
     _built,
+    block_rows,
     dcor,
     dcov_sq,
     double_center,
     pearson,
 )
-from distcorr.inference import REPLICATE_BLOCK_BYTES, permutation_test, power_simulation
+from distcorr.inference import permutation_test, power_simulation
 from distcorr.oracles import dcov_sq_oracle_sums, dcov_sq_via_integral
 from distcorr.samples import as_sample
 from distcorr.screening import (
@@ -52,8 +53,8 @@ def test_oracle_equivalence_algebraic():
         x = rng.normal(size=(n, int(rng.integers(1, 4))))
         y = rng.normal(size=(n, int(rng.integers(1, 4))))
         v_direct = dcov_sq(x, y)
-        v_stream = _built(as_sample(x), STREAM_BLOCK_ROWS, False).inner(
-            _built(as_sample(y), STREAM_BLOCK_ROWS, False))
+        v_stream = _built(as_sample(x), block_rows(n, BLOCK_BYTES), False).inner(
+            _built(as_sample(y), block_rows(n, BLOCK_BYTES), False))
         v_sums = dcov_sq_oracle_sums(x, y)
         worst = max(
             worst,
@@ -221,8 +222,8 @@ def test_performance_streaming():
     y = rng.normal(size=(10_000, 1))
     tracemalloc.start()
     start = time.monotonic()
-    value = _built(as_sample(x), STREAM_BLOCK_ROWS, False).inner(
-        _built(as_sample(y), STREAM_BLOCK_ROWS, False))
+    value = _built(as_sample(x), block_rows(len(x), BLOCK_BYTES), False).inner(
+        _built(as_sample(y), block_rows(len(y), BLOCK_BYTES), False))
     elapsed = time.monotonic() - start
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -287,7 +288,7 @@ def test_performance_replicates():
     gap = rel_diff(res.statistic, dcov_sq(x, y))
     # x's shift layout, one 1 MiB block of shifts of y's distances and O(n): no n x n matrix
     n = len(x)
-    bound = 8 * n * (n // 2) + REPLICATE_BLOCK_BYTES + 80 * 8 * n
+    bound = 8 * n * (n // 2) + BLOCK_BYTES + 80 * 8 * n
     ok = elapsed < 60.0 and peak <= bound and gap <= 1e-12 and res.exceed_count == 0
     print(f"  permutation test N=2000, B=99: {elapsed:.2f}s, peak {peak / 2**20:.1f} MiB, "
           f"statistic {gap:.1e} from dcov_sq")

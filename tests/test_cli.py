@@ -268,6 +268,15 @@ class TestScreen:
                                  str(tmp_path / "out.csv"), "--seed", "1"])
         assert code == 0 and out["pairs"] == 1
 
+    def test_group_column_among_columns_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "g.csv"
+        data.write_text("g,b,c\n" + "".join(f"{'pq'[i % 2]},{i},{i * i % 7}\n" for i in range(12)))
+        out_path = tmp_path / "out.csv"
+        code = main(["screen", "--data", str(data), "--columns", "g,b,c", "--group-by", "g", "--out", str(out_path),
+                     "--seed", "1"])
+        assert code == 2 and not out_path.exists()
+        assert "error: usage: group column 'g' cannot also be a selected column" in capsys.readouterr().err
+
     def test_group_by_name_is_stripped(self, tmp_path, capsys):
         data = tmp_path / "g.csv"
         data.write_text("g , a,b\n" + "".join(f"{'pq'[i % 2]},{i},{i * i % 7}\n" for i in range(12)))

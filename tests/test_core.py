@@ -275,9 +275,12 @@ class TestDcovSq:
         oracle = dcov_sq_oracle_sums(x, y)
         # below the smallest normal float64 there is no relative precision left
         tol = 1e-12 * scale + np.finfo(np.float64).tiny
-        streamed = core._built(as_sample(x), 3, False).inner(core._built(as_sample(y), 3, False))
-        for value in (a.inner(b), streamed):
-            assert abs(value - oracle) <= tol
+        assert abs(a.inner(b) - oracle) <= tol
+        # every block size of the shift sum, n even and odd: shift 0 alone, and the n/2 row
+        for rows in range(1, len(x) // 2 + 2):
+            sx, sy = core._built(as_sample(x), rows, False), core._built(as_sample(y), rows, False)
+            for value in (sx.inner(sy), a.inner(sy)):
+                assert abs(value - oracle) <= tol
 
     @given(scalar_oracle_pairs())
     @settings(max_examples=100, deadline=None)
@@ -295,14 +298,15 @@ class TestDcovSq:
 
     def test_sorted_scalar_with_streaming_multivariate_matches_materialized(self):
         rng = np.random.default_rng(17)
-        for n in (4, 7, 150):  # blocks of 3 rows
+        for n in (4, 7, 150):
             x, y = rng.normal(size=(n, 1)) + 1e3, rng.normal(size=(n, 3))
-            a, b = double_center(x, memory_budget=3 * 8 * n), double_center(y, memory_budget=3 * 8 * n)
-            assert a.order is not None and a.shifts is None
-            assert b.order is None and b.shifts is None
             expected = double_center(x).inner(double_center(y))
-            for value in (a.inner(b), b.inner(a)):
-                assert abs(value - expected) <= 1e-12 * max(expected, 1e-300)
+            for rows in range(1, n // 2 + 2):  # every block size: shift 0 alone, and the n/2 row
+                a, b = double_center(x, memory_budget=rows * 8 * n), double_center(y, memory_budget=rows * 8 * n)
+                assert a.order is not None and a.shifts is None
+                assert b.order is None and b.shifts is None and b.block_rows == rows
+                for value in (a.inner(b), b.inner(a)):
+                    assert abs(value - expected) <= 1e-12 * max(expected, 1e-300)
 
     def test_cross_term_matches_direct_sum(self):
         rng = np.random.default_rng(18)
@@ -369,8 +373,8 @@ class TestDcovSq:
             assert peak <= budget + 96 * 8 * n
 
     def test_streaming_sum_reuses_one_block_per_side(self):
-        # 512 shifts per block at 32 MiB: each side rebuilds into one block for the whole sum,
-        # and the kernel's temporary on top stays below 64 shifts; the value is unchanged
+        # cache-sized blocks at 32 MiB (43 shifts): each side rebuilds into one block for the whole
+        # sum, and the kernel's temporary on top stays below 64 shifts; the value is pinned
         rng = np.random.default_rng(22)
         n = 3000
         x, y = rng.normal(size=(n, 3)), rng.normal(size=(n, 2))
@@ -381,8 +385,20 @@ class TestDcovSq:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (stats.dcor.hex(), stats.dcov_sq.hex()) == ("0x1.cae1d52e295c2p-3", "0x1.03dfa0bf1f55dp-5")
-        assert peak <= 2 * 8 * n * core.STREAM_BLOCK_ROWS + 8 * n * 64
+        assert (stats.dcor.hex(), stats.dcov_sq.hex()) == ("0x1.cae1d52e295bfp-3", "0x1.03dfa0bf1f55ep-5")
+        assert peak <= 2 * core.BLOCK_BYTES + 8 * n * 64
+
+        # the dense centered matrices in long double, a block of rows at a time
+        def distances(z, k0):
+            z = z.astype(np.longdouble)
+            return np.sqrt(((z[k0:k0 + 100, None, :] - z[None, :, :]) ** 2).sum(axis=-1))
+
+        means = [np.concatenate([distances(z, k0).mean(axis=1) for k0 in range(0, n, 100)]) for z in (x, y)]
+        reference = np.longdouble(0.0)
+        for k0 in range(0, n, 100):
+            a, b = (distances(z, k0) - m[k0:k0 + 100, None] - m[None, :] + m.mean() for z, m in zip((x, y), means))
+            reference += (a * b).sum() / (n * n)
+        assert abs(stats.dcov_sq - reference) <= 3.2e-16 * reference  # below the 3.22e-16 of 512-shift blocks
 
     def test_auto_dispatch_small_budget_uses_streaming(self):
         rng = np.random.default_rng(1)

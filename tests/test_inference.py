@@ -87,7 +87,7 @@ class TestPermutationTest:
         rng = np.random.default_rng(6)
         x, y = rng.normal(size=(n, dim)), rng.normal(size=n)
         expected = permutation_test(x, y, replicates=9, seed=1)
-        block = inference.REPLICATE_BLOCK_BYTES
+        block = core.BLOCK_BYTES
         for budget, bound in [
             (8 * n * n // 2, 8 * n * n // 2),
             (1000, 1000),

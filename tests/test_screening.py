@@ -126,6 +126,11 @@ class TestLoadDataset:
         assert list(ds.columns) == ["b", "a"]
         assert list(ds.group_labels) == ["red", "blue"]
 
+    def test_group_column_cannot_be_selected(self, tmp_path):
+        # constant within each group, it would make every pair with it noise; checked before the file is read
+        with pytest.raises(UsageError, match="group column 'g' cannot also be a selected column"):
+            load_dataset(tmp_path / "does-not-exist.csv", group_by="g", columns=["a", " g "])
+
     def test_column_selected_twice(self, tmp_path):
         with pytest.raises(DataFormatError, match="column 'a' selected twice"):
             load_dataset(write(tmp_path, COMPLETE), columns=["a", "a", "b"])
