@@ -3,6 +3,9 @@
 Machine output (JSON) goes to stdout; diagnostics go to stderr.
 Exit codes: 0 success, 1 verification failure (an oracle disagreement, or
 quadrature that does not converge), 2 usage error, 3 data error.
+``test`` and ``screen --p-values`` run their permutation replicates in up
+to as many forked processes as the CPUs this process may run on (cap them
+with ``taskset``); their output is the same for any count.
 """
 from __future__ import annotations
 
@@ -117,7 +120,7 @@ def cmd_test(args) -> int:
     x = _load_sample(args.x, args.delimiter)
     y = _load_sample(args.y, args.delimiter)
     seed = _resolve_seed(args.seed)
-    _emit(asdict(permutation_test(x, y, args.replicates, seed)))
+    _emit(asdict(permutation_test(x, y, args.replicates, seed, jobs=None)))
     return 0
 
 
@@ -127,6 +130,8 @@ def cmd_screen(args) -> int:
     columns = None if args.columns is None else [name.strip() for name in args.columns.split(",")]
     if columns is not None and not all(columns):
         raise UsageError(f"--columns {args.columns!r} names an empty column")
+    if columns is not None and len(columns) < 2:
+        raise UsageError(f"--columns {args.columns!r} names one column; screening needs at least 2")
     if not os.path.basename(args.out) or os.path.isdir(args.out):  # "" or a trailing separator too
         raise UsageError(f"--out {args.out!r} names a directory")
     if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
@@ -139,7 +144,7 @@ def cmd_screen(args) -> int:
         columns=columns,
         missing_policy=args.missing_policy,
     )
-    table = pairwise_screen(dataset, config)
+    table = pairwise_screen(dataset, config, jobs=None)
     for warning in table.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if not table.records:

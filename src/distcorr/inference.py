@@ -16,8 +16,12 @@ layout (8 n (n//2 + 1) bytes) is built once when it fits the budget next to
 one block, else rebuilt into a workspace block per block.
 
 Determinism: every replicate b draws its permutation from a generator
-seeded by (seed, b), so replicates can run in any order (or in parallel)
-with identical results.
+seeded by (seed, b), so replicates can run in any order, or in any
+process, with identical results.  ``permutation_test`` and the screen's
+p-values run contiguous ranges of their work in forked processes
+(``_fork_map``), as many as ``_processes`` allows: one unless asked, since
+a library must not fork its host unasked.  A process's statistics come
+back as float64 bytes, so the output is the same for any count.
 """
 from __future__ import annotations
 
@@ -30,6 +34,10 @@ from . import core
 from .core import CenteredMatrix, _scaled, _unit, _unscaled, block_rows
 from .errors import DataQualityError, UsageError
 from .samples import _columns, _joined_distances, as_sample, check_same_n
+
+# Fewest replicate entries, B n (n//2 + 1) for B replicates at n rows, that each process of a
+# permutation loop gets: a fork, a pipe read and a waitpid take about 2 ms with numpy loaded.
+FORK_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -57,10 +65,93 @@ def _replicate_rng(seed: int, b: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
 
 
-def _exceedances(statistic, observed: float, n: int, replicates: int, seed: int) -> int:
-    """How many replicate permutations give a statistic >= observed (ties count)."""
-    perms = (_replicate_rng(seed, rep).permutation(n) for rep in range(1, replicates + 1))
-    return sum(statistic(perm) >= observed for perm in perms)
+def _replicates(statistic, n: int, reps: range, seed: int) -> list[float]:
+    """statistic(perm) of each replicate b in ``reps``, perm drawn from ``_replicate_rng(seed, b)``."""
+    return [statistic(_replicate_rng(seed, b).permutation(n)) for b in reps]
+
+
+def _split(items, k: int) -> list:
+    """items (a sequence) as k contiguous chunks of nearly equal length, or one per item if fewer."""
+    k = min(k, len(items))
+    return [items[i * len(items) // k:(i + 1) * len(items) // k] for i in range(k)]
+
+
+def _processes(jobs: int | None, replicates: int, n: int, dim: int, stored: bool) -> int:
+    """How many processes ``replicates`` permutation replicates at n rows may run in.
+
+    ``jobs``, or with None the CPUs that this process may run on, capped so
+    that each process gets ``FORK_ENTRIES`` replicate entries at least and
+    that the bytes each one's test allocates fit ``core.DEFAULT_MEMORY_BUDGET``
+    all together: the blocks of its ``_workspace`` (``dim`` is the larger of
+    x's and y's) and x's layout unless it is ``stored`` already.  One where
+    ``os.sched_getaffinity`` is missing (macOS, whose Accelerate BLAS is not
+    fork-safe, and Windows), and while another Python thread runs.
+    """
+    import os
+    import threading
+
+    if jobs is not None and not (isinstance(jobs, (int, np.integer)) and jobs >= 1):
+        raise UsageError(f"jobs must be a positive integer or None, got {jobs!r}")
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    rows, _, keep = _plan(n)
+    each = 8 * (n * rows * (1 + (dim > 1) + (not keep)) + 3 * n * dim + (keep and not stored) * n * (n // 2 + 1))
+    jobs = len(os.sched_getaffinity(0)) if jobs is None else jobs
+    return max(1, min(jobs, replicates * n * (n // 2 + 1) // FORK_ENTRIES, core.DEFAULT_MEMORY_BUDGET // each))
+
+
+def _fork_map(fn, chunks: list) -> np.ndarray:
+    """fn(chunk) of every chunk, a float per item, joined: chunk 0 in this process, every other in a forked child.
+
+    A child writes its floats to a pipe as float64 bytes and always ends with
+    ``os._exit``, so it never returns into the caller's stack, its atexit
+    handlers or its redirected stdout.  A chunk whose child exits non-zero
+    or writes a short result is computed here instead, so an error surfaces
+    as the same exception as in the serial loop.  Every child is reaped
+    before this returns or raises; on an error here, killed first.
+    """
+    import os
+    import warnings
+
+    children = []  # [pid, read end] of each child, each set to None once reaped or closed
+    try:
+        for chunk in chunks[1:]:
+            r, w = os.pipe()
+            # Python 3.12+ issues a DeprecationWarning, attributed to this module, at a fork while another
+            # OS thread exists, and numpy's BLAS pool is one.  It is silenced for this call alone: no other
+            # Python thread runs (``_processes``), and the child only runs numpy kernels on arrays it
+            # inherited, writes to one pipe and calls os._exit.
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    with open(w, "wb") as pipe:
+                        pipe.write(np.asarray(fn(chunk), np.float64).tobytes())
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append([pid, r])
+        parts = [fn(chunks[0])]
+        for chunk, child in zip(chunks[1:], children):
+            with open(child[1], "rb") as pipe:
+                child[1] = None
+                data = pipe.read()
+            status = os.waitpid(child[0], 0)[1]
+            child[0] = None
+            parts.append(np.frombuffer(data) if status == 0 and len(data) == 8 * len(chunk) else fn(chunk))
+        return np.concatenate([np.asarray(part, np.float64) for part in parts])
+    finally:
+        for pid, r in children:
+            if r is not None:
+                os.close(r)
+            if pid is not None:
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _workspace(rows: int, y: np.ndarray, a: CenteredMatrix) -> tuple:
@@ -91,7 +182,20 @@ def _permuted_dcov_sq(a: CenteredMatrix, y: np.ndarray, perm: np.ndarray, rows: 
     return max(total / (n * n), 0.0)
 
 
-def permutation_test(x, y, replicates: int, seed: int) -> TestResult:
+def _plan(n: int) -> tuple[int, int, bool]:
+    """A test's blocks at n rows: (shifts per block, bytes left for x's layout, whether it fits there).
+
+    A block of y's distances and its temporary take 16 n bytes per shift, and
+    a rebuilt block of A's shift layout as much: at most half of
+    ``core.DEFAULT_MEMORY_BUDGET`` each.
+    """
+    budget = core.DEFAULT_MEMORY_BUDGET
+    rows = block_rows(n, budget // 4)
+    left = budget - 16 * n * rows
+    return rows, left, 8 * n * (n // 2 + 1) <= left
+
+
+def permutation_test(x, y, replicates: int, seed: int, jobs: int | None = 1) -> TestResult:
     """Independence test: permute y's rows, recompute dcov^2, count exceedances.
 
     x and y are samples or their CenteredMatrix objects from ``_scaled``.
@@ -102,6 +206,11 @@ def permutation_test(x, y, replicates: int, seed: int) -> TestResult:
     takes the form that is not stored.  The observed statistic is the
     identity's replicate, so ties compare equal.
 
+    Replicates 1..B run as contiguous ranges in up to ``jobs`` processes
+    (None: the CPUs this one may run on), as many as ``_processes`` allows;
+    x's layout and the workspace are made before the fork and shared.  The
+    result is the same for any count.
+
     p-value uses the add-one formula (1 + #{perm >= observed}) / (1 + B),
     so it is never exactly 0; ties count as exceedances (conservative).
     """
@@ -110,23 +219,22 @@ def permutation_test(x, y, replicates: int, seed: int) -> TestResult:
         raise DataQualityError("permutation test requires at least 2 observations")
     if replicates < 1:
         raise UsageError("permutation test requires at least 1 replicate")
-    n, h = ys.n, ys.n // 2
-    # a block of shifts of y's distances and its temporary take 16 n bytes per shift,
-    # and a rebuilt block of A's shift layout as much: at most half of the budget each
-    budget = core.DEFAULT_MEMORY_BUDGET
-    rows = block_rows(n, budget // 4)
-    left = budget - 16 * n * rows
-    keep = 8 * n * (h + 1) <= left  # x's layout fits next to y's block: built once, and kept
+    n = ys.n
+    rows, left, keep = _plan(n)  # keep: x's layout fits next to y's block, built once and kept
     xs = x if isinstance(x, CenteredMatrix) else as_sample(x)
     check_same_n(xs, ys)  # before x's layout is built at y's size
+    form = isinstance(x, CenteredMatrix)
+    jobs = _processes(jobs, replicates, n, max((x.sample if form else xs).dim, ys.dim), form and x.shifts is not None)
     a = _scaled(xs, None if keep else left)
     if keep and a.shifts is None:  # a form that arrives without its layout: laid out from its row means
-        a = replace(a, shifts=core._centered_shifts(a, 0, h + 1))
+        a = replace(a, shifts=core._centered_shifts(a, 0, n // 2 + 1))
     work = _workspace(rows, ys.data, a)
     observed = _permuted_dcov_sq(a, ys.data, np.arange(n), rows, work)
-    exceed = _exceedances(
-        lambda perm: _permuted_dcov_sq(a, ys.data, perm, rows, work), observed, n, replicates, seed
+    statistics = _fork_map(
+        lambda reps: _replicates(lambda perm: _permuted_dcov_sq(a, ys.data, perm, rows, work), n, reps, seed),
+        _split(range(1, replicates + 1), jobs),
     )
+    exceed = int(np.count_nonzero(statistics >= observed))
     return TestResult(statistic=_unscaled(observed, a.scale + ey), replicates=replicates,
                       exceed_count=exceed, p_value=(1 + exceed) / (1 + replicates), seed=seed)
 
@@ -141,9 +249,8 @@ def _pearson_permutation_pvalue(xv: np.ndarray, yv: np.ndarray, replicates: int,
     if sx == 0.0 or sy == 0.0:
         return 1.0
     observed = abs(float(xd @ yd)) / (sx * sy)
-    exceed = _exceedances(
-        lambda perm: abs(float(xd @ yd[perm])) / (sx * sy), observed, n, replicates, seed
-    )
+    statistics = _replicates(lambda perm: abs(float(xd @ yd[perm])) / (sx * sy), n, range(1, replicates + 1), seed)
+    exceed = sum(value >= observed for value in statistics)
     return (1 + exceed) / (1 + replicates)
 
 

@@ -17,6 +17,14 @@ Above the budget the stack is of sorted forms, in O(K n) memory.  A pair
 of sorted forms, or one whose Gram entries come out negative or NaN,
 takes ``inner`` and ``dvar`` on its two forms.  Every pair's Pearson is
 its set's, and the permutation tests take the stack's forms either way.
+
+With p-values, a set's pairs are split into contiguous chunks after its
+forms exist, one per process that ``inference._processes`` allows for the
+set's tests (``jobs``: one unless asked, None for every CPU this process
+may run on), and each chunk runs in a forked child that shares the forms
+copy-on-write (``inference._fork_map``).  Each test stays serial.  Every
+pair's test is seeded by (seed, group, pair), so the records are the same
+for any count.
 """
 from __future__ import annotations
 
@@ -33,7 +41,7 @@ import numpy as np
 from . import core
 from .core import _centered_columns, _unit_exponents, correlation, gram, rows_that_fit
 from .errors import DataFormatError, UsageError
-from .inference import permutation_test
+from .inference import _fork_map, _processes, _split, permutation_test
 
 MISSING_POLICIES = ("reject", "drop-row", "pairwise-drop")
 FORMATS = ("csv", "json")
@@ -219,7 +227,7 @@ def _pair_seed(base_seed: int, group_index: int, pair_index: int) -> int:
 
 
 def _read_pairs(columns: np.ndarray, pairs: list, layouts: np.ndarray | None, config: ScreenConfig,
-                gi: int) -> dict:
+                gi: int, jobs: int | None) -> dict:
     """(n, dcor, pearson, p-value) of each pair (pair index, i, j) of the rows of ``columns``, by pair index.
 
     ``columns`` is a (K, n) stack of columns with no missing cell.  Given
@@ -232,7 +240,8 @@ def _read_pairs(columns: np.ndarray, pairs: list, layouts: np.ndarray | None, co
     ``pearson``'s sums of the scaled deviations' products, one column
     against all its partners at a time, so it is ``pearson``'s value (None
     for a zero norm).  With ``config.p_values``, each pair's permutation
-    test takes its two forms, seeded by (group ``gi``, pair index).
+    test takes its two forms, seeded by (group ``gi``, pair index), once
+    every pair's dcor is read; the tests run in up to ``jobs`` processes.
     """
     forms, deviations = _centered_columns(columns, _unit_exponents(columns), layouts)
     star = min(set.intersection(*({i, j} for _, i, j in pairs)), default=None)
@@ -254,17 +263,25 @@ def _read_pairs(columns: np.ndarray, pairs: list, layouts: np.ndarray | None, co
             v, di, dj = vxy[i][j], dvars[i], dvars[j]
             if not (v >= 0.0 and di >= 0.0 and dj >= 0.0):  # NaN compares False
                 v, di, dj = forms[i].inner(forms[j]), forms[i].dvar, forms[j].dvar
-            tested = None
-            if config.p_values:
-                tested = permutation_test(forms[i], forms[j], config.replicates,
-                                          _pair_seed(config.seed, gi, pair_index)).p_value
-            results[pair_index] = (columns.shape[1], correlation(v, di, dj),
-                                   p if norms[i] > 0.0 and norms[j] > 0.0 else None, tested)
-    return results
+            results[pair_index] = (correlation(v, di, dj), p if norms[i] > 0.0 and norms[j] > 0.0 else None)
+    n, tested = columns.shape[1], [None] * len(pairs)
+    if config.p_values:
+        tested = _fork_map(
+            lambda chunk: [permutation_test(forms[i], forms[j], config.replicates,
+                                            _pair_seed(config.seed, gi, pair_index)).p_value
+                           for pair_index, i, j in chunk],
+            _split(pairs, _processes(jobs, len(pairs) * config.replicates, n, 1, layouts is not None)),
+        ).tolist()
+    return {pair_index: (n, *results[pair_index], p) for (pair_index, _, _), p in zip(pairs, tested)}
 
 
-def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> CorrelationTable:
-    """One record per unordered column pair per group: K columns -> K(K-1)/2."""
+def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None, jobs: int | None = 1) -> CorrelationTable:
+    """One record per unordered column pair per group: K columns -> K(K-1)/2.
+
+    With p-values, each set of rows runs its tests in up to ``jobs``
+    processes (None: the CPUs this process may run on); the records are the
+    same for any count.
+    """
     if config is None:
         config = ScreenConfig()
     names = list(dataset.columns)
@@ -327,7 +344,7 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None) -> Cor
                 buffer = np.empty(size)
             results.update(_read_pairs(
                 data[np.ix_(cols, ok)], [(pair_index, local[a], local[b]) for pair_index, a, b in members],
-                buffer[:size].reshape(len(cols), n // 2 + 1, n) if stacked else None, config, gi))
+                buffer[:size].reshape(len(cols), n // 2 + 1, n) if stacked else None, config, gi, jobs))
         for pair_index, (var_a, var_b, _, _) in enumerate(pairs):
             if pair_index in results:
                 n, r, p, tested = results[pair_index]

@@ -1,10 +1,11 @@
 import json
+import os
 import re
 
 import numpy as np
 import pytest
 
-from distcorr import cli
+from distcorr import cli, inference, screening
 from distcorr.cli import main
 from distcorr.core import DEFAULT_MEMORY_BUDGET, dcor
 from distcorr.oracles import QuadratureSpec
@@ -189,7 +190,30 @@ def test_nonpositive_replicates_exit_2(two_point, tmp_path, capsys, command, rep
     assert not (tmp_path / "out.csv").exists()
 
 
+def on_cpus(monkeypatch, cpus: int, module) -> list:
+    """Let the process run on ``cpus`` CPUs, fork at any size, and record the chunk count of each ``_fork_map``
+    call that ``module`` makes."""
+    chunks = []
+    fork_map = inference._fork_map
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(inference, "FORK_ENTRIES", 1)
+    monkeypatch.setattr(module, "_fork_map", lambda fn, parts: chunks.append(len(parts)) or fork_map(fn, parts))
+    return chunks
+
+
 class TestTest:
+    def test_same_output_on_any_cpu_count(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(5)
+        x = write_sample(tmp_path / "x.csv", rng.normal(size=40))
+        y = write_sample(tmp_path / "y.csv", rng.normal(size=40))
+        outputs = []
+        for cpus in (1, 3):
+            with monkeypatch.context() as m:
+                chunks = on_cpus(m, cpus, inference)
+                assert main(["test", "--x", x, "--y", y, "--replicates", "99", "--seed", "5"]) == 0
+            assert chunks == [cpus]
+            outputs.append(capsys.readouterr().out)
+        assert outputs[1] == outputs[0]
     def test_reproducible_with_seed(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
         x = write_sample(tmp_path / "x.csv", rng.normal(size=20))
@@ -261,6 +285,31 @@ class TestScreen:
         code = main(["screen", "--data", data, "--columns", columns, "--out", str(tmp_path / "out.csv"), "--seed", "1"])
         assert code == 2 and loads == []
         assert f"error: usage: --columns {columns!r} names an empty column" in capsys.readouterr().err
+
+    def test_one_column_exit_2_before_loading(self, tmp_path, capsys, monkeypatch):
+        data = self.fixture_33(tmp_path)
+        loads = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *a, **k: loads.append(a))
+        code = main(["screen", "--data", data, "--columns", " v01 ", "--out", str(tmp_path / "out.csv"), "--seed", "1"])
+        assert code == 2 and loads == []
+        assert "error: usage: --columns ' v01 ' names one column; screening needs at least 2" in capsys.readouterr().err
+
+    def test_p_values_same_output_on_any_cpu_count(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(6)
+        data = tmp_path / "g.csv"
+        data.write_text("g,a,b,c\n" + "".join(f"{'pq'[i % 2]},{v[0]!r},{v[1]!r},{v[2]!r}\n"
+                                              for i, v in enumerate(rng.normal(size=(40, 3)).tolist())))
+        tables, outputs = [], []
+        for cpus in (1, 2):
+            out_path = tmp_path / f"out{cpus}.csv"
+            with monkeypatch.context() as m:
+                chunks = on_cpus(m, cpus, screening)
+                code, out = run(capsys, ["screen", "--data", str(data), "--group-by", "g", "--p-values",
+                                         "--replicates", "19", "--out", str(out_path), "--seed", "3"])
+            assert code == 0 and chunks == [cpus, cpus]  # a set of three pairs in each group
+            tables.append(out_path.read_bytes())
+            outputs.append({k: v for k, v in out.items() if k != "out"})
+        assert tables[1] == tables[0] and outputs[1] == outputs[0]
 
     def test_column_names_are_stripped(self, tmp_path, capsys):
         data = self.fixture_33(tmp_path)

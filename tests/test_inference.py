@@ -1,4 +1,7 @@
+import os
+import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -361,3 +364,189 @@ class TestPowerSimulation:
         # the squared deviations of 1e-200 underflow to 0 unless scaled first
         x = np.arange(1.0, 7.0) * 1e-200
         assert inference._pearson_permutation_pvalue(x, 1e200 * x, 19, 1) == 1 / 20
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):  # no child of this process is left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """Fork at any size, and record each ``_fork_map`` call's chunk count and values."""
+    calls = []
+    fork_map = inference._fork_map
+
+    def recorded(fn, parts):
+        calls.append([len(parts), None])
+        calls[-1][1] = fork_map(fn, parts)
+        return calls[-1][1]
+
+    monkeypatch.setattr(inference, "FORK_ENTRIES", 1)
+    monkeypatch.setattr(inference, "_fork_map", recorded)
+    return calls
+
+
+class TestForkedReplicates:
+    @pytest.mark.parametrize("n, dims, replicates, budget", [
+        (300, (1, 1), 199, core.DEFAULT_MEMORY_BUDGET),
+        (120, (3, 2), 39, core.DEFAULT_MEMORY_BUDGET),
+        # 12 MB at n = 2000: x's 16 MB layout does not fit, so each replicate rebuilds it in blocks
+        (2000, (1, 1), 9, 12_000_000),
+        (2000, (3, 2), 5, 12_000_000),
+    ], ids=["scalar-300", "3d-2d", "rebuilt-scalar", "rebuilt-3d-2d"])
+    def test_any_job_count_gives_the_same_result(self, n, dims, replicates, budget, forking, monkeypatch):
+        monkeypatch.setattr(core, "DEFAULT_MEMORY_BUDGET", budget)
+        rng = np.random.default_rng(n + dims[0])
+        x = rng.normal(size=(n, dims[0]))
+        y = rng.normal(size=(n, dims[1])) + 0.1 * x[:, :1]
+        assert inference._plan(n)[2] == (budget > 12_000_000)  # x's layout kept, or rebuilt per block
+        results = [permutation_test(x, y, replicates, seed=5, jobs=jobs) for jobs in (1, 2, 3)]
+        assert [chunks for chunks, _ in forking] == [1, 2, 3]
+        assert results[1] == results[0] and results[2] == results[0]
+        # every replicate's statistic, not only the count, comes back bit for bit
+        serial = forking[0][1]
+        assert len(serial) == replicates and all(np.array_equal(values, serial) for _, values in forking)
+        assert_no_child_left()
+
+    def test_children_compute_their_ranges(self, forking, monkeypatch):
+        rng = np.random.default_rng(1)
+        x, y = rng.normal(size=60), rng.normal(size=60)
+        expected = permutation_test(x, y, 99, seed=2)
+        calls = []
+        replicate = inference._permuted_dcov_sq
+        monkeypatch.setattr(inference, "_permuted_dcov_sq", lambda *a: calls.append(1) or replicate(*a))
+        assert permutation_test(x, y, 99, seed=2, jobs=3) == expected
+        assert len(calls) == 1 + 33  # the observed statistic and replicates 1..33 here; 34..99 in two children
+        assert_no_child_left()
+
+    # in a child's range at 2 processes (100..199) and at 3 (67..132 and 133..199)
+    @pytest.mark.parametrize("bad_replicate", [110, 150, 199])
+    def test_an_error_in_a_child_is_the_serial_error(self, bad_replicate, forking, monkeypatch):
+        n, seed = 50, 3
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(size=n), rng.normal(size=n)
+        bad = inference._replicate_rng(seed, bad_replicate).permutation(n)
+        replicate = inference._permuted_dcov_sq
+
+        def failing(a, y, perm, *rest):
+            if np.array_equal(perm, bad):
+                raise DataQualityError(f"replicate starting {perm[:4].tolist()} came out NaN")
+            return replicate(a, y, perm, *rest)
+
+        monkeypatch.setattr(inference, "_permuted_dcov_sq", failing)
+        with pytest.raises(DataQualityError) as serial:
+            permutation_test(x, y, 199, seed, jobs=1)
+        for jobs in (2, 3):
+            with pytest.raises(DataQualityError) as forked:
+                permutation_test(x, y, 199, seed, jobs=jobs)
+            assert str(forked.value) == str(serial.value)
+            assert_no_child_left()
+
+    def test_an_error_in_the_parents_range_reaps_every_child(self, forking, monkeypatch):
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=40), rng.normal(size=40)
+        replicate_rng = inference._replicate_rng
+
+        def failing(seed, b):
+            if b == 2:
+                raise DataQualityError("replicate 2 failed")
+            return replicate_rng(seed, b)
+
+        monkeypatch.setattr(inference, "_replicate_rng", failing)
+        with pytest.raises(DataQualityError, match="replicate 2 failed"):
+            permutation_test(x, y, 999, seed=1, jobs=3)
+        assert forking == [[3, None]]  # the parent's own chunk raised
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fault", ["exit", "short"])
+    def test_a_lost_child_is_recomputed_here(self, fault, forking, monkeypatch):
+        rng = np.random.default_rng(6)
+        x, y = rng.normal(size=40), rng.normal(size=40)
+        expected = permutation_test(x, y, 99, seed=8)
+        parent, replicates = os.getpid(), inference._replicates
+
+        def faulty(*args):
+            values = replicates(*args)
+            if os.getpid() != parent:  # a child dies, or sends one value too few
+                if fault == "exit":
+                    os._exit(7)
+                return values[:-1]
+            return values
+
+        monkeypatch.setattr(inference, "_replicates", faulty)
+        assert permutation_test(x, y, 99, seed=8, jobs=2) == expected
+        assert_no_child_left()
+
+
+    def test_the_fork_warning_of_newer_pythons_is_silenced(self, forking, monkeypatch):
+        # Python >= 3.12 warns at a fork while another OS thread runs, numpy's BLAS pool among them,
+        # attributed to the caller of os.fork; this suite makes distcorr's DeprecationWarnings errors
+        fork = os.fork
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to "
+                              "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        rng = np.random.default_rng(9)
+        x, y = rng.normal(size=40), rng.normal(size=40)
+        assert permutation_test(x, y, 99, seed=1, jobs=2) == permutation_test(x, y, 99, seed=1)
+        assert [chunks for chunks, _ in forking] == [2, 1]
+        assert_no_child_left()
+
+
+class TestProcesses:
+    def test_cpus_work_and_jobs(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        enough = 8 * inference.FORK_ENTRIES // (300 * 151) + 1  # replicates at n = 300 for 8 processes
+        assert inference._processes(None, enough, 300, 1, True) == 4
+        assert inference._processes(2, enough, 300, 1, True) == 2
+        assert inference._processes(6, enough, 300, 1, True) == 6  # asked for: taken beyond the CPUs
+        # below the work threshold: one process, unless every extra one gets FORK_ENTRIES entries
+        assert inference._processes(None, inference.FORK_ENTRIES // (300 * 151), 300, 1, True) == 1
+        assert inference._processes(None, 2 * inference.FORK_ENTRIES // (300 * 151) + 1, 300, 1, True) == 2
+
+    def test_one_process_where_x_layout_fits_once(self, monkeypatch):
+        # at 3 MB and n = 600, x's layout (1.44 MB) fits next to one test's block of y's distances
+        # (0.75 MB), but two layouts and two blocks do not: one process, unless x arrives stored
+        n = 600
+        monkeypatch.setattr(core, "DEFAULT_MEMORY_BUDGET", 3_000_000)
+        assert inference._plan(n)[2]
+        assert inference._processes(2, 1 << 40, n, 1, False) == 1
+        assert inference._processes(2, 1 << 40, n, 1, True) == 2
+        monkeypatch.setattr(core, "DEFAULT_MEMORY_BUDGET", 1 << 30)
+        assert inference._processes(2, 1 << 40, n, 1, False) == 2
+
+    def test_one_process_for_a_raw_x_whose_layout_fits_once(self, forking, monkeypatch):
+        n = 600
+        rng = np.random.default_rng(7)
+        x, y = rng.normal(size=n), rng.normal(size=n)
+        monkeypatch.setattr(core, "DEFAULT_MEMORY_BUDGET", 3_000_000)
+        permutation_test(x, y, 9, seed=1, jobs=2)
+        permutation_test(core._scaled(x), y, 9, seed=1, jobs=2)  # stored already: only blocks are new
+        assert [chunks for chunks, _ in forking] == [1, 2]
+
+    def test_one_process_while_another_thread_runs(self):
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            assert inference._processes(2, 1 << 40, 300, 1, True) == 1
+        finally:
+            done.set()
+            thread.join()
+        assert inference._processes(2, 1 << 40, 300, 1, True) == 2
+
+    def test_one_process_without_sched_getaffinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert inference._processes(None, 1 << 40, 300, 1, True) == 1
+        assert inference._processes(4, 1 << 40, 300, 1, True) == 1
+
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5, "2"])
+    def test_rejects_bad_jobs(self, jobs):
+        with pytest.raises(UsageError, match="jobs must be a positive integer"):
+            permutation_test(np.arange(5.0), np.arange(5.0), 9, seed=1, jobs=jobs)

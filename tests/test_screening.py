@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from distcorr import core, samples, screening
+from distcorr import core, inference, samples, screening
 from distcorr.core import CenteredMatrix, dcor
 from distcorr.errors import DataFormatError, DataQualityError, UsageError
 from distcorr.inference import permutation_test
@@ -541,6 +541,31 @@ def assert_screen_peak_within_layouts(gaps: int, k: int = 33, n: int = 400, stac
     # temporaries) and a temporary block of 64 doubled shifts, or the O(n) vectors of cross_term
     layouts = k * 8 * n * (n // 2) if stacked else 0
     assert peak <= layouts + 8 * n * (8 * k + 128)
+
+
+class TestForkedPValues:
+    @pytest.mark.parametrize("budget", [core.DEFAULT_MEMORY_BUDGET, 50_000], ids=["stored", "sorted"])
+    def test_any_job_count_gives_the_same_records(self, budget, monkeypatch):
+        # 50 kB is below the stack rule at 40 rows: each test lays x's sorted form out in its process
+        monkeypatch.setattr(core, "DEFAULT_MEMORY_BUDGET", budget)
+        monkeypatch.setattr(inference, "FORK_ENTRIES", 1)
+        chunks = []
+        fork_map = screening._fork_map
+        monkeypatch.setattr(screening, "_fork_map", lambda fn, parts: chunks.append(len(parts)) or fork_map(fn, parts))
+        cfg = ScreenConfig(p_values=True, replicates=19, seed=11)
+        tables = [pairwise_screen(gapped_dataset(), cfg, jobs=jobs) for jobs in (1, 2, 3)]
+        assert tables[0].records and all(r.p_value is not None for r in tables[0].records)
+        assert tables[1] == tables[0] and tables[2] == tables[0]
+        # group g0's sets under pairwise-drop: (a, b); the stars of c and of d, two pairs each; (c, d).
+        # Then group g1's one set of six pairs
+        assert chunks == [1, 1, 1, 1, 1] + [1, 2, 2, 1, 2] + [1, 2, 2, 1, 3]
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_fork_without_p_values(self, monkeypatch):
+        monkeypatch.setattr(inference, "FORK_ENTRIES", 1)
+        monkeypatch.setattr(screening, "_fork_map", lambda fn, parts: pytest.fail("forked"))
+        assert pairwise_screen(gapped_dataset(), jobs=3) == pairwise_screen(gapped_dataset())
 
 
 def make_table(records):
