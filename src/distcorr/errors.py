@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of a count argument."""
+import numbers
 
 
 class DistcorrError(Exception):
@@ -19,6 +20,12 @@ class DegenerateVarianceError(DistcorrError):
 
 class UsageError(DistcorrError, ValueError):
     """Raised for an invalid argument: an unknown scenario, an out-of-range parameter."""
+
+
+def check_count(name: str, value, least: int = 1) -> None:
+    """Raise UsageError unless ``value``, not a bool, is a whole number >= ``least``: 1, or 0 for a seed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise UsageError(f"{name} must be a {'positive' if least else 'non-negative'} integer, got {value!r}")
 
 
 class DataFormatError(DistcorrError):

@@ -18,25 +18,29 @@ one block, else rebuilt into a workspace block per block.
 Determinism: every replicate b draws its permutation from a generator
 seeded by (seed, b), so replicates can run in any order, or in any
 process, with identical results.  ``permutation_test`` and the screen's
-p-values run contiguous ranges of their work in forked processes
-(``_fork_map``), as many as ``_processes`` allows: one unless asked, since
-a library must not fork its host unasked.  A process's statistics come
-back as float64 bytes, so the output is the same for any count.
+p-values run contiguous spans of their work in forked processes
+(``_fork_map``), as many as ``_plan`` allows: one unless asked, since a
+library must not fork its host unasked.  The children write their spans'
+float64 statistics into one shared array, and a span whose child fails,
+or that cannot be forked, runs here: the output is the same for any count.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import core
 from .core import CenteredMatrix, _scaled, _unit, _unscaled, block_rows
-from .errors import DataQualityError, UsageError
+from .errors import DataQualityError, UsageError, check_count
 from .samples import _columns, _joined_distances, as_sample, check_same_n
 
 # Fewest replicate entries, B n (n//2 + 1) for B replicates at n rows, that each process of a
-# permutation loop gets: a fork, a pipe read and a waitpid take about 2 ms with numpy loaded.
+# permutation loop gets: a fork and a waitpid take about 2 ms with numpy loaded.
 FORK_ENTRIES = 1 << 24
 
 
@@ -70,88 +74,53 @@ def _replicates(statistic, n: int, reps: range, seed: int) -> list[float]:
     return [statistic(_replicate_rng(seed, b).permutation(n)) for b in reps]
 
 
-def _split(items, k: int) -> list:
-    """items (a sequence) as k contiguous chunks of nearly equal length, or one per item if fewer."""
+def _fork_map(fn, items, k: int) -> np.ndarray:
+    """fn(span) of k contiguous spans of ``items``, a float per item, joined: the first here, each other forked.
+
+    A child writes its span of one anonymous shared mapping and always ends
+    with ``os._exit``, so it never returns into the caller's stack, its
+    atexit handlers or its redirected stdout.  A span whose child exits
+    non-zero (a result of the wrong length raises there), or that
+    ``os.fork`` cannot start, is computed here, so an error is the serial loop's.
+    Every child is reaped before this returns or raises; on an error here,
+    killed first.
+    """
     k = min(k, len(items))
-    return [items[i * len(items) // k:(i + 1) * len(items) // k] for i in range(k)]
+    if k == 1:
+        return np.asarray(fn(items), np.float64)
+    import mmap
+    import signal
 
-
-def _processes(jobs: int | None, replicates: int, n: int, dim: int, stored: bool) -> int:
-    """How many processes ``replicates`` permutation replicates at n rows may run in.
-
-    ``jobs``, or with None the CPUs that this process may run on, capped so
-    that each process gets ``FORK_ENTRIES`` replicate entries at least and
-    that the bytes each one's test allocates fit ``core.DEFAULT_MEMORY_BUDGET``
-    all together: the blocks of its ``_workspace`` (``dim`` is the larger of
-    x's and y's) and x's layout unless it is ``stored`` already.  One where
-    ``os.sched_getaffinity`` is missing (macOS, whose Accelerate BLAS is not
-    fork-safe, and Windows), and while another Python thread runs.
-    """
-    import os
-    import threading
-
-    if jobs is not None and not (isinstance(jobs, (int, np.integer)) and jobs >= 1):
-        raise UsageError(f"jobs must be a positive integer or None, got {jobs!r}")
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
-        return 1
-    rows, _, keep = _plan(n)
-    each = 8 * (n * rows * (1 + (dim > 1) + (not keep)) + 3 * n * dim + (keep and not stored) * n * (n // 2 + 1))
-    jobs = len(os.sched_getaffinity(0)) if jobs is None else jobs
-    return max(1, min(jobs, replicates * n * (n // 2 + 1) // FORK_ENTRIES, core.DEFAULT_MEMORY_BUDGET // each))
-
-
-def _fork_map(fn, chunks: list) -> np.ndarray:
-    """fn(chunk) of every chunk, a float per item, joined: chunk 0 in this process, every other in a forked child.
-
-    A child writes its floats to a pipe as float64 bytes and always ends with
-    ``os._exit``, so it never returns into the caller's stack, its atexit
-    handlers or its redirected stdout.  A chunk whose child exits non-zero
-    or writes a short result is computed here instead, so an error surfaces
-    as the same exception as in the serial loop.  Every child is reaped
-    before this returns or raises; on an error here, killed first.
-    """
-    import os
-    import warnings
-
-    children = []  # [pid, read end] of each child, each set to None once reaped or closed
+    cuts = [i * len(items) // k for i in range(k + 1)]
+    out, children = np.frombuffer(mmap.mmap(-1, 8 * len(items))), {}  # the child of each span, by its start
     try:
-        for chunk in chunks[1:]:
-            r, w = os.pipe()
-            # Python 3.12+ issues a DeprecationWarning, attributed to this module, at a fork while another
-            # OS thread exists, and numpy's BLAS pool is one.  It is silenced for this call alone: no other
-            # Python thread runs (``_processes``), and the child only runs numpy kernels on arrays it
-            # inherited, writes to one pipe and calls os._exit.
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
-                pid = os.fork()
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            # Python 3.12+ warns (DeprecationWarning, attributed to this module) at a fork while another OS
+            # thread exists, numpy's BLAS pool among them.  Silenced for this call alone: no other Python thread
+            # runs (``_plan``), and the child only runs numpy on arrays it inherited, writes its span, and exits.
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:  # EAGAIN under a process limit, or ENOMEM: this span and the rest run here
+                break
             if pid == 0:
-                code = 1
                 try:
-                    with open(w, "wb") as pipe:
-                        pipe.write(np.asarray(fn(chunk), np.float64).tobytes())
-                    code = 0
+                    out[lo:hi] = np.reshape(fn(items[lo:hi]), hi - lo)
+                    os._exit(0)
                 finally:
-                    os._exit(code)
-            os.close(w)
-            children.append([pid, r])
-        parts = [fn(chunks[0])]
-        for chunk, child in zip(chunks[1:], children):
-            with open(child[1], "rb") as pipe:
-                child[1] = None
-                data = pipe.read()
-            status = os.waitpid(child[0], 0)[1]
-            child[0] = None
-            parts.append(np.frombuffer(data) if status == 0 and len(data) == 8 * len(chunk) else fn(chunk))
-        return np.concatenate([np.asarray(part, np.float64) for part in parts])
+                    os._exit(1)
+            children[lo] = pid
+        for lo, hi in zip(cuts, cuts[1:]):
+            status = os.waitpid(children[lo], 0)[1] if lo in children else 1  # the first span, or one not forked
+            children.pop(lo, None)
+            if status:
+                out[lo:hi] = fn(items[lo:hi])
+        return out
     finally:
-        for pid, r in children:
-            if r is not None:
-                os.close(r)
-            if pid is not None:
-                import signal
-
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        for pid in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _workspace(rows: int, y: np.ndarray, a: CenteredMatrix) -> tuple:
@@ -182,58 +151,70 @@ def _permuted_dcov_sq(a: CenteredMatrix, y: np.ndarray, perm: np.ndarray, rows: 
     return max(total / (n * n), 0.0)
 
 
-def _plan(n: int) -> tuple[int, int, bool]:
-    """A test's blocks at n rows: (shifts per block, bytes left for x's layout, whether it fits there).
+def _plan(x, y, replicates: int, jobs: int | None = 1) -> tuple[int, int | None, int]:
+    """A test of x against y (samples or forms): (shifts per block, the budget for x's form, processes).
 
-    A block of y's distances and its temporary take 16 n bytes per shift, and
-    a rebuilt block of A's shift layout as much: at most half of
-    ``core.DEFAULT_MEMORY_BUDGET`` each.
+    A block of y's distances and its temporary take 16 n bytes per shift,
+    and a rebuilt block of A's layout as much: at most half of
+    ``core.DEFAULT_MEMORY_BUDGET`` each.  x's budget is None where its
+    layout fits next to them, to be kept.  Processes: ``jobs``, or the CPUs
+    this process may run on, capped so that each gets ``FORK_ENTRIES`` of
+    the replicates' entries and that every one's ``_workspace``, and x's
+    layout unless stored already, fit the budget together.  One without
+    ``os.sched_getaffinity`` (macOS, whose Accelerate BLAS is not
+    fork-safe, and Windows), and while another Python thread runs.
     """
-    budget = core.DEFAULT_MEMORY_BUDGET
+    if jobs is not None:
+        check_count("jobs", jobs)
+    n, budget = y.n, core.DEFAULT_MEMORY_BUDGET
     rows = block_rows(n, budget // 4)
     left = budget - 16 * n * rows
-    return rows, left, 8 * n * (n // 2 + 1) <= left
+    keep = 8 * n * (n // 2 + 1) <= left
+    plan = rows, None if keep else left
+    if jobs == 1 or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return *plan, 1
+    dim = max((v.sample if isinstance(v, CenteredMatrix) else v).dim for v in (x, y))
+    stored = isinstance(x, CenteredMatrix) and x.shifts is not None
+    each = 8 * (n * rows * (1 + (dim > 1) + (not keep)) + 3 * n * dim + (keep and not stored) * n * (n // 2 + 1))
+    jobs = len(os.sched_getaffinity(0)) if jobs is None else jobs
+    return *plan, max(1, min(jobs, replicates * n * (n // 2 + 1) // FORK_ENTRIES, budget // each))
 
 
 def permutation_test(x, y, replicates: int, seed: int, jobs: int | None = 1) -> TestResult:
     """Independence test: permute y's rows, recompute dcov^2, count exceedances.
 
     x and y are samples or their CenteredMatrix objects from ``_scaled``.
-    ``core.DEFAULT_MEMORY_BUDGET`` covers A's shift layout and one block of
-    ``block_rows(n, budget // 4)`` shifts of y's (scaled) distances with its
-    temporary.  While the layout fits next to the block, a raw x is built
-    stored and a form without its layout is laid out once; otherwise a raw x
-    takes the form that is not stored.  The observed statistic is the
-    identity's replicate, so ties compare equal.
+    ``_plan`` sizes the blocks of y's (scaled) distances within
+    ``core.DEFAULT_MEMORY_BUDGET``: while A's layout fits next to them, a
+    raw x is built stored and a form without its layout is laid out once;
+    otherwise a raw x takes the form that is not stored.  The observed
+    statistic is the identity's replicate, so ties compare equal.
 
     Replicates 1..B run as contiguous ranges in up to ``jobs`` processes
-    (None: the CPUs this one may run on), as many as ``_processes`` allows;
+    (None: the CPUs this one may run on), as many as ``_plan`` allows;
     x's layout and the workspace are made before the fork and shared.  The
     result is the same for any count.
 
     p-value uses the add-one formula (1 + #{perm >= observed}) / (1 + B),
     so it is never exactly 0; ties count as exceedances (conservative).
     """
+    check_count("replicates", replicates)
+    check_count("seed", seed, 0)
     ys, ey = (y.sample, y.scale) if isinstance(y, CenteredMatrix) else _unit(as_sample(y))
     if ys.n < 2:
         raise DataQualityError("permutation test requires at least 2 observations")
-    if replicates < 1:
-        raise UsageError("permutation test requires at least 1 replicate")
     n = ys.n
-    rows, left, keep = _plan(n)  # keep: x's layout fits next to y's block, built once and kept
     xs = x if isinstance(x, CenteredMatrix) else as_sample(x)
     check_same_n(xs, ys)  # before x's layout is built at y's size
-    form = isinstance(x, CenteredMatrix)
-    jobs = _processes(jobs, replicates, n, max((x.sample if form else xs).dim, ys.dim), form and x.shifts is not None)
-    a = _scaled(xs, None if keep else left)
-    if keep and a.shifts is None:  # a form that arrives without its layout: laid out from its row means
+    rows, left, jobs = _plan(xs, ys, replicates, jobs)  # left None: x's layout is built once and kept
+    a = _scaled(xs, left)
+    if left is None and a.shifts is None:  # a form that arrives without its layout: laid out from its row means
         a = replace(a, shifts=core._centered_shifts(a, 0, n // 2 + 1))
     work = _workspace(rows, ys.data, a)
     observed = _permuted_dcov_sq(a, ys.data, np.arange(n), rows, work)
     statistics = _fork_map(
         lambda reps: _replicates(lambda perm: _permuted_dcov_sq(a, ys.data, perm, rows, work), n, reps, seed),
-        _split(range(1, replicates + 1), jobs),
-    )
+        range(1, replicates + 1), jobs)
     exceed = int(np.count_nonzero(statistics >= observed))
     return TestResult(statistic=_unscaled(observed, a.scale + ey), replicates=replicates,
                       exceed_count=exceed, p_value=(1 + exceed) / (1 + replicates), seed=seed)
@@ -278,8 +259,11 @@ def power_simulation(
     """Rejection rates of the dcov and |pearson| permutation tests at level alpha."""
     if not (0.0 < alpha < 1.0):
         raise UsageError(f"alpha must be in (0, 1), got {alpha}")
-    if trials < 1 or n < 2 or replicates < 1:
-        raise UsageError("trials, replicates must be >= 1 and n >= 2")
+    check_count("trials", trials)
+    check_count("replicates", replicates)
+    check_count("seed", seed, 0)
+    if n < 2:
+        raise UsageError(f"n must be at least 2, got {n!r}")
     if scenario not in SCENARIOS:
         raise UsageError(f"unknown scenario {scenario!r}; known: {', '.join(SCENARIOS)}")
 

@@ -98,26 +98,40 @@ def _even_exponent(data: np.ndarray) -> int:
     return int(np.frexp(np.abs(data).max())[1]) & ~1
 
 
+def _gaps_may_underflow(*zs: np.ndarray) -> bool:
+    """Whether a nonzero gap between coordinates of scaled data may square to a subnormal, losing bits.
+
+    Unequal floats of magnitude at least 2^-430 differ by at least 2^-482, whose square is normal:
+    only a nonzero coordinate below that can have a smaller gap.  Such data takes ``np.hypot``.
+    """
+    return any(np.any((np.abs(z) < 2.0 ** -430) & (z != 0)) for z in zs)
+
+
 def _euclidean(XA: np.ndarray, XB: np.ndarray) -> np.ndarray:
     """Euclidean distances between the rows of XA and of XB, in one output buffer.
 
     Scalar rows take |a - b|.  Otherwise squared differences are added one
-    dimension at a time, as scipy's ``cdist`` does, with row-block temporaries.
+    dimension at a time, as scipy's ``cdist`` does, with row-block temporaries;
+    data whose gaps may underflow when squared (``_gaps_may_underflow``) takes
+    ``np.hypot`` of the differences instead, in the same order.
     """
     if XA.shape[1] == 1:
         out = np.subtract.outer(XA[:, 0], XB[:, 0])
         return np.abs(out, out=out)
-    # exact scaling by an even power of two keeps the squares from under- or overflowing
+    # exact scaling by an even power of two keeps the squares from overflowing; tiny gaps take np.hypot
     e = max(_even_exponent(XA), _even_exponent(XB))
     XA, XB = np.ldexp(XA, -e), np.ldexp(XB, -e)
-    out = np.subtract.outer(XA[:, 0], XB[:, 0])
-    np.multiply(out, out, out=out)
+    out, tiny = np.subtract.outer(XA[:, 0], XB[:, 0]), _gaps_may_underflow(XA, XB)
+    np.abs(out, out=out) if tiny else np.multiply(out, out, out=out)
     for i0 in range(0, len(XA), _KERNEL_ROWS):
         rows = slice(i0, i0 + _KERNEL_ROWS)
         for k in range(1, XA.shape[1]):
             diff = np.subtract.outer(XA[rows, k], XB[:, k])
-            out[rows] += np.multiply(diff, diff, out=diff)
-    return np.ldexp(np.sqrt(out, out=out), e, out=out)
+            if tiny:
+                np.hypot(out[rows], diff, out=out[rows])
+            else:
+                out[rows] += np.multiply(diff, diff, out=diff)
+    return np.ldexp(out if tiny else np.sqrt(out, out=out), e, out=out)
 
 
 def _columns(data: np.ndarray) -> tuple[np.ndarray, int]:
@@ -144,7 +158,7 @@ def _joined_distances(joined: np.ndarray, s0: int, s1: int, out=None, tmp=None) 
     ``out`` (at least s1 - s0 rows of n) takes them in its first rows.  A scalar z is copied from
     the view into ``out`` and subtracted there, faster than from the view.  A multivariate z adds
     its squared differences a dimension at a time through ``tmp``, as many shifts as it has rows
-    (16 if made here, on top of a block of each side).
+    (16 if made here, on top of a block of each side), or their ``np.hypot`` as ``_euclidean`` does.
     """
     dim, n = joined.shape[0], (joined.shape[1] + 1) // 2
     z, shifted = joined[:, :n], _window(joined, s0, s1)  # shifted[j, s, k] = z_j(k+s)
@@ -153,15 +167,19 @@ def _joined_distances(joined: np.ndarray, s0: int, s1: int, out=None, tmp=None) 
         np.copyto(out, shifted[0])
         return np.abs(np.subtract(out, z[0], out=out), out=out)
     np.subtract(shifted[0], z[0], out=out)
-    np.multiply(out, out, out=out)
+    tiny = _gaps_may_underflow(z)
+    np.abs(out, out=out) if tiny else np.multiply(out, out, out=out)
     tmp = np.empty((min(_KERNEL_ROWS // 4, max(s1 - s0, 1)), n)) if tmp is None else tmp
     for i0 in range(0, s1 - s0, len(tmp)):
         rows = slice(i0, i0 + len(tmp))
         diff = tmp[:len(out[rows])]
         for j in range(1, dim):
             np.subtract(shifted[j, rows], z[j], out=diff)
-            out[rows] += np.multiply(diff, diff, out=diff)
-    return np.sqrt(out, out=out)
+            if tiny:
+                np.hypot(out[rows], diff, out=out[rows])
+            else:
+                out[rows] += np.multiply(diff, diff, out=diff)
+    return out if tiny else np.sqrt(out, out=out)
 
 
 def _shift_distances(data: np.ndarray, s0: int, s1: int, out=None, tmp=None) -> np.ndarray:

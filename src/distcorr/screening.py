@@ -18,13 +18,14 @@ of sorted forms, or one whose Gram entries come out negative or NaN,
 takes ``inner`` and ``dvar`` on its two forms.  Every pair's Pearson is
 its set's, and the permutation tests take the stack's forms either way.
 
-With p-values, a set's pairs are split into contiguous chunks after its
-forms exist, one per process that ``inference._processes`` allows for the
-set's tests (``jobs``: one unless asked, None for every CPU this process
-may run on), and each chunk runs in a forked child that shares the forms
-copy-on-write (``inference._fork_map``).  Each test stays serial.  Every
-pair's test is seeded by (seed, group, pair), so the records are the same
-for any count.
+With p-values, a set's pairs are split into contiguous spans after its
+forms exist, one per process that ``inference._plan`` allows for the set's
+tests (``jobs``: one unless asked, None for every CPU this process may run
+on), and each span after the first runs in a forked child that shares the
+forms copy-on-write (``inference._fork_map``); a span whose child fails,
+or that cannot be forked, runs in this process.  Each test stays serial.
+Every pair's test is seeded by (seed, group, pair), so the records are the
+same for any count.
 """
 from __future__ import annotations
 
@@ -40,8 +41,8 @@ import numpy as np
 
 from . import core
 from .core import _centered_columns, _unit_exponents, correlation, gram, rows_that_fit
-from .errors import DataFormatError, UsageError
-from .inference import _fork_map, _processes, _split, permutation_test
+from .errors import DataFormatError, UsageError, check_count
+from .inference import _fork_map, _plan, permutation_test
 
 MISSING_POLICIES = ("reject", "drop-row", "pairwise-drop")
 FORMATS = ("csv", "json")
@@ -64,10 +65,8 @@ class ScreenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.replicates, (int, np.integer)) or self.replicates < 1:
-            raise UsageError(f"replicates must be a positive integer, got {self.replicates!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:  # as SeedSequence takes it
-            raise UsageError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_count("replicates", self.replicates)
+        check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -267,11 +266,10 @@ def _read_pairs(columns: np.ndarray, pairs: list, layouts: np.ndarray | None, co
     n, tested = columns.shape[1], [None] * len(pairs)
     if config.p_values:
         tested = _fork_map(
-            lambda chunk: [permutation_test(forms[i], forms[j], config.replicates,
-                                            _pair_seed(config.seed, gi, pair_index)).p_value
-                           for pair_index, i, j in chunk],
-            _split(pairs, _processes(jobs, len(pairs) * config.replicates, n, 1, layouts is not None)),
-        ).tolist()
+            lambda span: [permutation_test(forms[i], forms[j], config.replicates,
+                                           _pair_seed(config.seed, gi, pair_index)).p_value
+                          for pair_index, i, j in span],
+            pairs, _plan(forms[0], forms[0], len(pairs) * config.replicates, jobs)[2]).tolist()
     return {pair_index: (n, *results[pair_index], p) for (pair_index, _, _), p in zip(pairs, tested)}
 
 

@@ -197,7 +197,8 @@ def on_cpus(monkeypatch, cpus: int, module) -> list:
     fork_map = inference._fork_map
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(inference, "FORK_ENTRIES", 1)
-    monkeypatch.setattr(module, "_fork_map", lambda fn, parts: chunks.append(len(parts)) or fork_map(fn, parts))
+    monkeypatch.setattr(module, "_fork_map",
+                        lambda fn, items, k: chunks.append(min(k, len(items))) or fork_map(fn, items, k))
     return chunks
 
 
@@ -214,6 +215,21 @@ class TestTest:
             assert chunks == [cpus]
             outputs.append(capsys.readouterr().out)
         assert outputs[1] == outputs[0]
+
+    def test_a_failed_fork_prints_the_serial_output(self, tmp_path, capsys, monkeypatch, failing_fork):
+        rng = np.random.default_rng(6)
+        x = write_sample(tmp_path / "x.csv", rng.normal(size=40))
+        y = write_sample(tmp_path / "y.csv", rng.normal(size=40))
+        outputs = []
+        for cpus in (1, 3):
+            with monkeypatch.context() as m:
+                on_cpus(m, cpus, inference)
+                assert main(["test", "--x", x, "--y", y, "--replicates", "99", "--seed", "5"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[1] == outputs[0]
+        assert len(failing_fork.calls) == 2
+        failing_fork.check()
+
     def test_reproducible_with_seed(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
         x = write_sample(tmp_path / "x.csv", rng.normal(size=20))

@@ -106,6 +106,17 @@ class TestPairwiseDistances:
         with pytest.raises(DataQualityError, match="row 1"):
             pairwise_distances([[0.0], [np.nan], [1.0]])
 
+    def test_gap_that_squares_to_a_subnormal_is_kept(self):
+        # next to a coordinate of 1, a gap of 2.2e-309 squares to 0 unless the kernels take np.hypot
+        x = np.array([[2.2e-309, 1.0], [0.0, 1.0], [0.0, 0.5]])
+        d, k = pairwise_distances(x), np.arange(3)
+        assert d[0, 1] == d[1, 0] == 2.2e-309
+        assert d[0, 2] == math.hypot(2.2e-309, 0.5)
+        for s in (1, 2):
+            assert np.array_equal(_shift_distances(x, s, s + 1)[0], d[k, (k + s) % 3])
+        y = np.array([[40.0], [0.0], [3.0]])
+        assert core.dcov_sq(y, x) == pytest.approx(dcov_sq_oracle_sums(y, x), rel=1e-12)
+
     @given(finite_samples())
     @settings(max_examples=50, deadline=None)
     def test_symmetric_zero_diagonal(self, x):

@@ -16,6 +16,7 @@ from distcorr.errors import DataQualityError, UsageError
 from distcorr.inference import permutation_test, power_simulation
 from distcorr.oracles import dcov_sq_oracle_sums
 from distcorr.samples import _euclidean, _even_exponent, as_sample
+from distcorr.screening import ScreenConfig
 
 import centered
 from centered import dense
@@ -377,9 +378,9 @@ def forking(monkeypatch):
     calls = []
     fork_map = inference._fork_map
 
-    def recorded(fn, parts):
-        calls.append([len(parts), None])
-        calls[-1][1] = fork_map(fn, parts)
+    def recorded(fn, items, k):
+        calls.append([min(k, len(items)), None])
+        calls[-1][1] = fork_map(fn, items, k)
         return calls[-1][1]
 
     monkeypatch.setattr(inference, "FORK_ENTRIES", 1)
@@ -400,7 +401,8 @@ class TestForkedReplicates:
         rng = np.random.default_rng(n + dims[0])
         x = rng.normal(size=(n, dims[0]))
         y = rng.normal(size=(n, dims[1])) + 0.1 * x[:, :1]
-        assert inference._plan(n)[2] == (budget > 12_000_000)  # x's layout kept, or rebuilt per block
+        kept = inference._plan(as_sample(x), as_sample(y), replicates)[1] is None
+        assert kept == (budget > 12_000_000)  # x's layout kept, or rebuilt per block
         results = [permutation_test(x, y, replicates, seed=5, jobs=jobs) for jobs in (1, 2, 3)]
         assert [chunks for chunks, _ in forking] == [1, 2, 3]
         assert results[1] == results[0] and results[2] == results[0]
@@ -479,6 +481,14 @@ class TestForkedReplicates:
         assert_no_child_left()
 
 
+    def test_a_failed_fork_runs_its_range_here(self, forking, failing_fork):
+        rng = np.random.default_rng(10)
+        x, y = rng.normal(size=40), rng.normal(size=40)
+        expected = permutation_test(x, y, 99, seed=4)
+        assert permutation_test(x, y, 99, seed=4, jobs=3) == expected
+        assert len(failing_fork.calls) == 2 and np.array_equal(forking[1][1], forking[0][1])
+        failing_fork.check()
+
     def test_the_fork_warning_of_newer_pythons_is_silenced(self, forking, monkeypatch):
         # Python >= 3.12 warns at a fork while another OS thread runs, numpy's BLAS pool among them,
         # attributed to the caller of os.fork; this suite makes distcorr's DeprecationWarnings errors
@@ -499,27 +509,54 @@ class TestForkedReplicates:
         assert_no_child_left()
 
 
+def processes(jobs, replicates: int, n: int, stored: bool) -> int:
+    """The plan's process count for a test of a scalar x at n rows, built stored or raw, against a scalar y."""
+    x = as_sample(np.arange(float(n)))
+    return inference._plan(core._scaled(x) if stored else x, x, replicates, jobs)[2]
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: permutation_test(x, x, 2.5, 1),
+    lambda x: permutation_test(x, x, True, 1),
+    lambda x: permutation_test(x, x, 9, -1),
+    lambda x: permutation_test(x, x, 9, 1.5),
+    lambda x: permutation_test(x, x, 9, 1, jobs=True),
+    lambda x: power_simulation("linear", 10, 1.5, 0.05, 9, 0),
+    lambda x: power_simulation("linear", 10, True, 0.05, 9, 0),
+    lambda x: power_simulation("linear", 10, 1, 0.05, 2.5, 0),
+    lambda x: power_simulation("linear", 10, 1, 0.05, 9, -1),
+    lambda x: ScreenConfig(p_values=True, replicates=True),
+    lambda x: ScreenConfig(seed=True),
+], ids=["replicates-2.5", "replicates-True", "seed-negative", "seed-1.5", "jobs-True",
+        "trials-1.5", "trials-True", "power-replicates-2.5", "power-seed-negative",
+        "config-replicates-True", "config-seed-True"])
+def test_count_arguments_are_checked(call):
+    with pytest.raises(UsageError, match=r"^(replicates|seed|jobs|trials) must be a (positive|non-negative) integer"):
+        call(np.arange(6.0))
+
+
 class TestProcesses:
     def test_cpus_work_and_jobs(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         enough = 8 * inference.FORK_ENTRIES // (300 * 151) + 1  # replicates at n = 300 for 8 processes
-        assert inference._processes(None, enough, 300, 1, True) == 4
-        assert inference._processes(2, enough, 300, 1, True) == 2
-        assert inference._processes(6, enough, 300, 1, True) == 6  # asked for: taken beyond the CPUs
+        assert processes(None, enough, 300, True) == 4
+        assert processes(2, enough, 300, True) == 2
+        assert processes(6, enough, 300, True) == 6  # asked for: taken beyond the CPUs
         # below the work threshold: one process, unless every extra one gets FORK_ENTRIES entries
-        assert inference._processes(None, inference.FORK_ENTRIES // (300 * 151), 300, 1, True) == 1
-        assert inference._processes(None, 2 * inference.FORK_ENTRIES // (300 * 151) + 1, 300, 1, True) == 2
+        assert processes(None, inference.FORK_ENTRIES // (300 * 151), 300, True) == 1
+        assert processes(None, 2 * inference.FORK_ENTRIES // (300 * 151) + 1, 300, True) == 2
 
     def test_one_process_where_x_layout_fits_once(self, monkeypatch):
         # at 3 MB and n = 600, x's layout (1.44 MB) fits next to one test's block of y's distances
         # (0.75 MB), but two layouts and two blocks do not: one process, unless x arrives stored
         n = 600
         monkeypatch.setattr(core, "DEFAULT_MEMORY_BUDGET", 3_000_000)
-        assert inference._plan(n)[2]
-        assert inference._processes(2, 1 << 40, n, 1, False) == 1
-        assert inference._processes(2, 1 << 40, n, 1, True) == 2
+        x = as_sample(np.arange(float(n)))
+        assert inference._plan(x, x, 1)[1] is None  # kept
+        assert processes(2, 1 << 40, n, False) == 1
+        assert processes(2, 1 << 40, n, True) == 2
         monkeypatch.setattr(core, "DEFAULT_MEMORY_BUDGET", 1 << 30)
-        assert inference._processes(2, 1 << 40, n, 1, False) == 2
+        assert processes(2, 1 << 40, n, False) == 2
 
     def test_one_process_for_a_raw_x_whose_layout_fits_once(self, forking, monkeypatch):
         n = 600
@@ -535,16 +572,16 @@ class TestProcesses:
         thread = threading.Thread(target=done.wait)
         thread.start()
         try:
-            assert inference._processes(2, 1 << 40, 300, 1, True) == 1
+            assert processes(2, 1 << 40, 300, True) == 1
         finally:
             done.set()
             thread.join()
-        assert inference._processes(2, 1 << 40, 300, 1, True) == 2
+        assert processes(2, 1 << 40, 300, True) == 2
 
     def test_one_process_without_sched_getaffinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert inference._processes(None, 1 << 40, 300, 1, True) == 1
-        assert inference._processes(4, 1 << 40, 300, 1, True) == 1
+        assert processes(None, 1 << 40, 300, True) == 1
+        assert processes(4, 1 << 40, 300, True) == 1
 
     @pytest.mark.parametrize("jobs", [0, -1, 1.5, "2"])
     def test_rejects_bad_jobs(self, jobs):

@@ -551,7 +551,8 @@ class TestForkedPValues:
         monkeypatch.setattr(inference, "FORK_ENTRIES", 1)
         chunks = []
         fork_map = screening._fork_map
-        monkeypatch.setattr(screening, "_fork_map", lambda fn, parts: chunks.append(len(parts)) or fork_map(fn, parts))
+        monkeypatch.setattr(screening, "_fork_map",
+                            lambda fn, items, k: chunks.append(min(k, len(items))) or fork_map(fn, items, k))
         cfg = ScreenConfig(p_values=True, replicates=19, seed=11)
         tables = [pairwise_screen(gapped_dataset(), cfg, jobs=jobs) for jobs in (1, 2, 3)]
         assert tables[0].records and all(r.p_value is not None for r in tables[0].records)
@@ -562,9 +563,16 @@ class TestForkedPValues:
         with pytest.raises(ChildProcessError):  # every child was reaped
             os.waitpid(-1, os.WNOHANG)
 
+    def test_a_failed_fork_runs_its_pairs_here(self, monkeypatch, failing_fork):
+        monkeypatch.setattr(inference, "FORK_ENTRIES", 1)
+        cfg = ScreenConfig(p_values=True, replicates=19, seed=11)
+        assert pairwise_screen(gapped_dataset(), cfg, jobs=3) == pairwise_screen(gapped_dataset(), cfg)
+        assert len(failing_fork.calls) > 1  # one set's pairs forked once; every later fork failed
+        failing_fork.check()
+
     def test_no_fork_without_p_values(self, monkeypatch):
         monkeypatch.setattr(inference, "FORK_ENTRIES", 1)
-        monkeypatch.setattr(screening, "_fork_map", lambda fn, parts: pytest.fail("forked"))
+        monkeypatch.setattr(screening, "_fork_map", lambda fn, items, k: pytest.fail("forked"))
         assert pairwise_screen(gapped_dataset(), jobs=3) == pairwise_screen(gapped_dataset())
 
 
