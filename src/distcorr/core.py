@@ -10,10 +10,13 @@ Otherwise a scalar sample takes the sorted form, whose inner product with
 another sorted form costs O(N log N) (``cross_term``), and a multivariate
 one streams.  Every scalar form, of either kind, is built by
 ``_centered_columns`` for a stack of K columns at once, with row means
-from the sorted deviations (``_row_means``).  ``dcov_sq`` and ``dcor``
-give each sample half the budget, and center it through ``_scaled``, as
-does the permutation test; the screen stacks its columns with each one's
-own exponent.  Each sample is scaled by a power of two so
+from the sorted deviations (``_row_means``); a stored stack's column may
+miss cells, and is then centered over its own rows, zero-padded, for
+``gram`` alone.  A sorted form's dVar^2 is a sum in O(n) over its sorted
+terms, taken for a stack of them at once (``_sorted_dvar_sq``).
+``dcov_sq`` and ``dcor`` give each sample half the budget, and center it
+through ``_scaled``, as does the permutation test; the screen stacks its
+columns with each one's own exponent.  Each sample is scaled by a power of two so
 that no spread under- or overflows, and scaled back in results.
 """
 from __future__ import annotations
@@ -94,16 +97,17 @@ class CenteredMatrix:
         """sum(A * B) / n^2 of two sorted forms, and the sum of its three terms' magnitudes.
 
         sum(A * B) = C - 2 sum_k a_k. b_k. / n + a.. b.. / n^2 with C =
-        sum |x_k - x_l| |y_k - y_l|, which against itself is sum (x_k - x_l)^2
-        = 2 n sum x_k^2 - 2 (sum x_k)^2, in O(n).  The terms are summed in the
+        sum |x_k - x_l| |y_k - y_l| (``cross_term``); against itself, the
+        stack of one's ``_sorted_dvar_sq``.  The terms are summed in the
         units of the scaled deviations and scaled back at the end.
         """
         (x, ex), (y, ey) = self.sample.deviations, other.sample.deviations
+        if other is self:
+            total, scale = _sorted_dvar_sq(x[None], np.array([ex]), self.row_mean[None], np.array([self.grand_mean]))
+            return math.ldexp(float(total[0]), 2 * ex), math.ldexp(float(scale[0]), 2 * ex)
         n = self.n
-        c = (2.0 * n * float(np.dot(x, x)) - 2.0 * float(x.sum()) ** 2 if other is self
-             else cross_term(x, y, self.order, other.order))
         terms = (
-            c / (n * n),
+            cross_term(x, y, self.order, other.order) / (n * n),
             -2.0 * float(np.dot(np.ldexp(self.row_mean, -ex), np.ldexp(other.row_mean, -ey))) / n,
             math.ldexp(self.grand_mean, -ex) * math.ldexp(other.grand_mean, -ey),
         )
@@ -279,7 +283,7 @@ def _row_means(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _centered_columns(data: np.ndarray, exponents: np.ndarray, out: np.ndarray | bool | None = True
-                      ) -> tuple[list[CenteredMatrix], np.ndarray]:
+                      ) -> tuple[list[CenteredMatrix | None], np.ndarray]:
     """The CenteredMatrix of each row of ``data``, a (K, n) stack of scalar samples, as a list.
 
     Row j is taken times 2^-e_j, with e_j = ``exponents[j]`` as its
@@ -292,23 +296,74 @@ def _centered_columns(data: np.ndarray, exponents: np.ndarray, out: np.ndarray |
     of the sort order, in O(K n) memory.  Each row takes the same
     arithmetic as it would alone.  The (K, n) stack of the samples'
     ``deviations`` is returned with the list; each sample keeps its row.
+
+    A row may miss cells (NaN), its exponent taken over its own rows R.  Its
+    deviations and row means are taken over R alone, and zero elsewhere; its
+    missing cells are filled with one of its own values before the distance
+    pass, so that no new magnitude enters, and its layout is zeroed in
+    place wherever a missing row q is in the pair: [s, q] and
+    [s, (q - s) mod n].  So its layout is its matrix centered over R,
+    zero-padded, for ``gram`` alone: its form is None.
     """
     k, n = data.shape
     x = np.ldexp(data, -exponents[:, None])
+    gaps = np.isnan(x)
+    gapped = np.flatnonzero(gaps.any(axis=1)).tolist()
+    for j in gapped:
+        x[j, gaps[j]] = x[j, np.argmin(gaps[j])]
     d, e = _deviations(x)
     row, order = _row_means(d, e)
     grand = row.mean(axis=1)
+    for j in gapped:
+        own = ~gaps[j]
+        dj, ej = _deviations(x[j, own][None])
+        rj = _row_means(dj, ej)[0]
+        d[j], row[j] = 0.0, 0.0
+        d[j, own], row[j, own], grand[j] = dj[0], rj[0], rj.mean()
     if out is not None:
         out = np.empty((k, n // 2 + 1, n)) if out is True else out
         np.abs(np.subtract(_window(_joined(x), 0, n // 2 + 1), x[:, None, :], out=out), out=out)
         _center(out, row, 0, grand[:, None, None])
+        shift = np.arange(n // 2 + 1)[:, None]
+        for j in gapped:
+            q = np.flatnonzero(gaps[j])
+            out[j][:, q] = 0.0
+            out[j][shift, (q - shift) % n] = 0.0
     forms = []
     for j in range(k):
         s = Sample(x[j, :, None])
         s.__dict__["deviations"] = d[j], int(e[j])  # the cached_property's value
         layout = {"order": order[j]} if out is None else {"shifts": out[j]}
-        forms.append(CenteredMatrix(s, row[j], float(grand[j]), scale=int(exponents[j]), **layout))
+        forms.append(None if j in gapped else
+                     CenteredMatrix(s, row[j], float(grand[j]), scale=int(exponents[j]), **layout))
     return forms, d
+
+
+def _sorted_dvar_sq(d: np.ndarray, e: np.ndarray, row: np.ndarray, grand: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """sum(A * A) / n^2 of each sorted form of a (K, n) stack, and the sum of its three terms' magnitudes, times 2^-2e.
+
+    d and e are the forms' ``_deviations``, row and grand their row and
+    grand means (``_row_means``).  sum(A * A) = C - 2 sum_k a_k.^2 / n
+    + a..^2 / n^2, where C = sum (x_k - x_l)^2 = 2 n sum x_k^2 - 2 (sum x_k)^2
+    takes O(n).  A row's sums are bit for bit those of the stack of one.
+    """
+    n = d.shape[1]
+    r, g = np.ldexp(row, -e[:, None]), np.ldexp(grand, -e)
+    terms = ((2.0 * n * np.vecdot(d, d) - 2.0 * d.sum(axis=1) ** 2) / (n * n), -2.0 * np.vecdot(r, r) / n, g * g)
+    return terms[0] + terms[1] + terms[2], abs(terms[0]) + abs(terms[1]) + abs(terms[2])
+
+
+def _sorted_deviations(data: np.ndarray, index: tuple, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_deviations`` of each row of ``data[index]`` times 2^-``exponents``, and its sorted form's dVar^2.
+
+    dVar^2 is ``_sorted_dvar_sq``'s sum in the units of the scaled rows.
+    The rows are taken and scaled here, so that they are freed before the
+    sort and only the deviations outlive the call.
+    """
+    d, e = _deviations(np.ldexp(data[index], -exponents[:, None]))
+    row, _ = _row_means(d, e)
+    return d, np.ldexp(_sorted_dvar_sq(d, e, row, row.mean(axis=1))[0], 2 * e)
 
 
 def cross_term(x: np.ndarray, y: np.ndarray, x_order: np.ndarray, y_order: np.ndarray) -> float:
@@ -360,9 +415,10 @@ def _unit_exponents(data: np.ndarray) -> np.ndarray:
     """For each row of data, the even e that brings its range near 1 as data times 2^-e.
 
     Even, so that square roots stay exact; the range is halved first, so
-    that it cannot overflow.
+    that it cannot overflow.  Missing cells (NaN) are passed over.
     """
-    return (np.frexp(np.ptp(np.ldexp(data, -1), axis=-1))[1] + 1) & ~1
+    half = np.ldexp(data, -1)
+    return (np.frexp(np.fmax.reduce(half, axis=-1) - np.fmin.reduce(half, axis=-1))[1] + 1) & ~1
 
 
 def _unit(s: Sample) -> tuple[Sample, int]:

@@ -23,9 +23,10 @@ class UsageError(DistcorrError, ValueError):
 
 
 def check_count(name: str, value, least: int = 1) -> None:
-    """Raise UsageError unless ``value``, not a bool, is a whole number >= ``least``: 1, or 0 for a seed."""
+    """Raise UsageError unless ``value``, not a bool, is a whole number >= ``least``: 1, 0 for a seed, 2 for n."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise UsageError(f"{name} must be a {'positive' if least else 'non-negative'} integer, got {value!r}")
+        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(least, f"an integer of at least {least}")
+        raise UsageError(f"{name} must be {kind}, got {value!r}")
 
 
 class DataFormatError(DistcorrError):

@@ -262,8 +262,7 @@ def power_simulation(
     check_count("trials", trials)
     check_count("replicates", replicates)
     check_count("seed", seed, 0)
-    if n < 2:
-        raise UsageError(f"n must be at least 2, got {n!r}")
+    check_count("n", n, 2)
     if scenario not in SCENARIOS:
         raise UsageError(f"unknown scenario {scenario!r}; known: {', '.join(SCENARIOS)}")
 

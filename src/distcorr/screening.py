@@ -6,26 +6,29 @@ selected columns within each group, applies configurable outlier flags,
 and emits plot-ready CSV or JSON.
 
 A group's pairs are sorted by their complete-case rows, each pair keyed
-by its own rows as a bit set, and each set of rows is read in one go
-(``_read_pairs``): its distinct columns, restricted to those rows, are
-centered as one stack (``core._centered_columns``).  While a group's K
-centered columns fit ``core.DEFAULT_MEMORY_BUDGET``, the one budget that
-its permutation tests read too, the stack is stored as one
-(K, n//2 + 1, n) array in a buffer reused from set to set, and one
-``core.gram`` product over it gives all its pairs' dcov^2 and dVar^2.
-Above the budget the stack is of sorted forms, in O(K n) memory.  A pair
-of sorted forms, or one whose Gram entries come out negative or NaN,
-takes ``inner`` and ``dvar`` on its two forms.  Every pair's Pearson is
-its set's, and the permutation tests take the stack's forms either way.
+by its own rows as a bit set.  While a group's K centered columns fit
+``core.DEFAULT_MEMORY_BUDGET``, the one budget that its permutation tests
+read too, each column is centered once over its own rows, zero-padded,
+into one (K, n//2 + 1, n) buffer reused from group to group, and one
+``core.gram`` product over it serves every pair whose rows are one of
+its columns' rows (``_read_nested``).  Each other set of rows is read in
+one go (``_read_pairs``): its distinct columns, restricted to those rows,
+are centered as one stack (``core._centered_columns``), stored in the
+same buffer, whose Gram product gives its pairs' dcov^2 and dVar^2.
+Above the budget every set's stack is of sorted forms, in O(K n) memory.
+A pair of sorted forms, or one whose Gram entries come out negative or
+NaN, takes ``inner`` and ``dvar`` on its two forms.  Every pair's Pearson
+is its set's sums over its own rows.
 
-With p-values, a set's pairs are split into contiguous spans after its
-forms exist, one per process that ``inference._plan`` allows for the set's
-tests (``jobs``: one unless asked, None for every CPU this process may run
-on), and each span after the first runs in a forked child that shares the
-forms copy-on-write (``inference._fork_map``); a span whose child fails,
-or that cannot be forked, runs in this process.  Each test stays serial.
-Every pair's test is seeded by (seed, group, pair), so the records are the
-same for any count.
+With p-values, the tests of a group's pairs that its product serves, as
+one list, and then those of each other set, are split into contiguous
+spans after their forms exist, one per process that ``inference._plan``
+allows for them (``jobs``: one unless asked, None for every CPU this
+process may run on), and each span after the first runs in a forked
+child that shares the forms copy-on-write (``inference._fork_map``); a
+span whose child fails, or that cannot be forked, runs in this process.
+Each test stays serial.  Every pair's test is seeded by (seed, group,
+pair), so the records are the same for any count.
 """
 from __future__ import annotations
 
@@ -35,12 +38,13 @@ import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field, replace
+from functools import cache
 from operator import itemgetter
 
 import numpy as np
 
 from . import core
-from .core import _centered_columns, _unit_exponents, correlation, gram, rows_that_fit
+from .core import _centered_columns, _sorted_deviations, _unit_exponents, correlation, gram, rows_that_fit
 from .errors import DataFormatError, UsageError, check_count
 from .inference import _fork_map, _plan, permutation_test
 
@@ -225,33 +229,27 @@ def _pair_seed(base_seed: int, group_index: int, pair_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _read_pairs(columns: np.ndarray, pairs: list, layouts: np.ndarray | None, config: ScreenConfig,
-                gi: int, jobs: int | None) -> dict:
-    """(n, dcor, pearson, p-value) of each pair (pair index, i, j) of the rows of ``columns``, by pair index.
+def _star(pairs: list) -> int | None:
+    """The least column in every pair (pair index, i, j), or None."""
+    return min(set.intersection(*({i, j} for _, i, j in pairs)), default=None)
 
-    ``columns`` is a (K, n) stack of columns with no missing cell.  Given
-    ``layouts``, a (K, n//2 + 1, n) array, they are centered into it and one
-    ``gram`` gives every dcov^2 and dVar^2: the whole product, or only one
-    row of it when one column is in every pair (a star).  A pair whose
-    dcov^2 or either dVar^2 comes out negative or NaN, or every pair of
-    sorted forms (``layouts`` None), takes ``inner`` and ``dvar`` on its two
-    forms instead, for the scale check of ``inner``.  Pearson takes
-    ``pearson``'s sums of the scaled deviations' products, one column
-    against all its partners at a time, so it is ``pearson``'s value (None
-    for a zero norm).  With ``config.p_values``, each pair's permutation
-    test takes its two forms, seeded by (group ``gi``, pair index), once
-    every pair's dcor is read; the tests run in up to ``jobs`` processes.
+
+def _read(pairs: list, vxy: np.ndarray, dvar_sq: np.ndarray, deviations: np.ndarray, forms) -> dict:
+    """(dcor, pearson) of each pair (pair index, i, j) of a stack of columns, by pair index.
+
+    dcov^2 is ``vxy[i, j]`` and the dVar^2 are ``dvar_sq[i]`` and ``[j]``; a
+    pair where any of them is negative or NaN takes ``inner`` and ``dvar``
+    on ``forms()``'s i and j instead, for the scale check of ``inner``.
+    Pearson takes ``pearson``'s sums of the scaled ``deviations``' products,
+    one column (``_star``, or each pair's lower one) against all its
+    partners at a time, so it is ``pearson``'s value (None for a zero norm).
     """
-    forms, deviations = _centered_columns(columns, _unit_exponents(columns), layouts)
-    star = min(set.intersection(*({i, j} for _, i, j in pairs)), default=None)
-    vxy = np.full((len(forms),) * 2, np.nan) if layouts is None else gram(layouts, star)
     with np.errstate(invalid="ignore"):  # NaN for a negative or NaN dVar^2
-        dvars, vxy = np.sqrt(np.diag(vxy)).tolist(), vxy.tolist()
+        dvars, vxy = np.sqrt(dvar_sq).tolist(), vxy.tolist()
     norms = np.sqrt((deviations * deviations).sum(axis=1))
-    partners = {}
+    star, partners, results = _star(pairs), {}, {}
     for pair in pairs:
         partners.setdefault(min(pair[1:]) if star is None else star, []).append(pair)
-    results = {}
     for first, group in partners.items():
         others = [i + j - first for _, i, j in group]
         products = deviations[others]
@@ -261,24 +259,119 @@ def _read_pairs(columns: np.ndarray, pairs: list, layouts: np.ndarray | None, co
         for (pair_index, i, j), p in zip(group, pearsons.tolist()):
             v, di, dj = vxy[i][j], dvars[i], dvars[j]
             if not (v >= 0.0 and di >= 0.0 and dj >= 0.0):  # NaN compares False
-                v, di, dj = forms[i].inner(forms[j]), forms[i].dvar, forms[j].dvar
+                v, di, dj = forms()[i].inner(forms()[j]), forms()[i].dvar, forms()[j].dvar
             results[pair_index] = (correlation(v, di, dj), p if norms[i] > 0.0 and norms[j] > 0.0 else None)
-    n, tested = columns.shape[1], [None] * len(pairs)
-    if config.p_values:
-        tested = _fork_map(
-            lambda span: [permutation_test(forms[i], forms[j], config.replicates,
-                                           _pair_seed(config.seed, gi, pair_index)).p_value
-                          for pair_index, i, j in span],
-            pairs, _plan(forms[0], forms[0], len(pairs) * config.replicates, jobs)[2]).tolist()
-    return {pair_index: (n, *results[pair_index], p) for (pair_index, _, _), p in zip(pairs, tested)}
+    return results
+
+
+def _tests(tests: list, config: ScreenConfig, gi: int, jobs: int | None) -> dict:
+    """The p-value of each test (pair index, x's form, y's form), seeded by (group ``gi``, pair index), by pair index.
+
+    The tests run in up to ``jobs`` processes, as many as ``_plan`` allows
+    for them all at the largest n among them.
+    """
+    if not (config.p_values and tests):
+        return {}
+    largest = max((x for _, x, _ in tests), key=lambda x: x.n)
+    p_values = _fork_map(
+        lambda span: [permutation_test(x, y, config.replicates, _pair_seed(config.seed, gi, pair_index)).p_value
+                      for pair_index, x, y in span],
+        tests, _plan(largest, largest, len(tests) * config.replicates, jobs)[2])
+    return {pair_index: p for (pair_index, _, _), p in zip(tests, p_values.tolist())}
+
+
+def _read_pairs(columns: np.ndarray, pairs: list, layouts: np.ndarray | None, config: ScreenConfig,
+                gi: int, jobs: int | None) -> dict:
+    """(n, dcor, pearson, p-value) of each pair (pair index, i, j) of the rows of ``columns``, by pair index.
+
+    ``columns`` is a (K, n) stack of columns with no missing cell.  Given
+    ``layouts``, a (K, n//2 + 1, n) array, they are centered into it and one
+    ``gram`` gives every dcov^2 and dVar^2: the whole product, or only one
+    row of it when one column is in every pair (``_star``).  Every pair of
+    sorted forms (``layouts`` None) takes ``inner`` and ``dvar`` (``_read``).
+    With ``config.p_values``, each pair's permutation test takes its two
+    forms once every pair's dcor is read (``_tests``).
+    """
+    forms, deviations = _centered_columns(columns, _unit_exponents(columns), layouts)
+    vxy = np.full((len(forms),) * 2, np.nan) if layouts is None else gram(layouts, _star(pairs))
+    results = _read(pairs, vxy, np.diag(vxy), deviations, lambda: forms)
+    tested = _tests([(pair_index, forms[i], forms[j]) for pair_index, i, j in pairs], config, gi, jobs)
+    return {pair_index: (columns.shape[1], *results[pair_index], tested.get(pair_index)) for pair_index, _, _ in pairs}
+
+
+def _read_nested(data: np.ndarray, bits: list, sets: dict, layouts: np.ndarray, config: ScreenConfig,
+                 gi: int, jobs: int | None) -> tuple[dict, list]:
+    """Each pair whose rows are one of its columns' rows, read off one Gram product of the group's columns.
+
+    ``data`` is the group's (K, N) stack of columns, NaN where a cell is
+    missing, and ``bits`` each one's rows as a bit set; ``sets`` holds the
+    pairs (pair index, column, column) by their rows' bit set, as (rows,
+    their count, pairs).  Each column is centered once over its own rows
+    into ``layouts``, zero-padded (``_centered_columns``), and one ``gram``
+    takes them all.  Let S be a pair's rows, m = |S|, and S be column i's
+    rows (the inner column): i's layout is its matrix centered over S, and
+    the other column's layout differs from its own matrix centered over S
+    only by row and column constants, which sum to 0 against i's.  So
+    dcov^2 over S is G_ij N^2 / m^2, and i's dVar^2 is G_ii N^2 / m^2.
+    The other column's dVar^2 over S comes from its sorted terms
+    (``core._sorted_deviations``), for all of a set's columns at once with
+    their deviations for Pearson, and its sorted form is made only for a p-value
+    or a negative or NaN entry; complete columns keep the group's own forms.
+    The other column serves only while its exponent over S is that over its
+    own rows (``_unit_exponents``): otherwise values outside S would enter
+    as row constants large against its distances in S, which cancel only in
+    exact arithmetic.  Returns the records by pair index, and the sets (rows,
+    count, pairs) of the other pairs, which take their own stacks.
+    """
+    n = data.shape[1]
+    exponents = _unit_exponents(data)
+    group_forms, deviations = _centered_columns(data, exponents, layouts)
+    vxy = gram(layouts)
+    diag = np.diag(vxy)
+
+    def read(key: int, ok: np.ndarray, m: int, members: list) -> tuple[dict, list, list]:
+        """A set's records and tests that the Gram product serves, and its other pairs."""
+        if m == n:  # complete columns, each centered over these rows already
+            nested, forms = members, lambda: group_forms
+            records = _read(members, vxy, diag, deviations, forms)
+        else:
+            cols = sorted({c for _, a, b in members for c in (a, b)})
+            local, index = {c: k for k, c in enumerate(cols)}, np.ix_(cols, ok)
+            own = _unit_exponents(data[index])
+            inner = np.array([bits[c] == key for c in cols])
+            fits = own == exponents[cols]  # the range guard; true of every inner column
+            nested = [(pair_index, local[a], local[b]) for pair_index, a, b in members
+                      if (inner[local[a]] or inner[local[b]]) and fits[local[a]] and fits[local[b]]]
+            if not nested:
+                return {}, [], members
+            ratio = n * n / (m * m)
+            d, sorted_sq = _sorted_deviations(data, index, own)
+            dvar_sq = np.where(inner, diag[cols] * ratio, sorted_sq)
+            # sorted forms over these rows, for p-values and negative or NaN entries
+            forms = cache(lambda: _centered_columns(data[index], own, None)[0])
+            records = _read(nested, vxy[np.ix_(cols, cols)] * ratio, dvar_sq, d, forms)
+        taken = {pair_index for pair_index, _, _ in nested}
+        tests = [(pair_index, forms()[i], forms()[j]) for pair_index, i, j in nested] if config.p_values else []
+        return ({pair_index: (m, *record, None) for pair_index, record in records.items()}, tests,
+                [pair for pair in members if pair[0] not in taken])
+
+    results, tests, left = {}, [], []
+    for key, (ok, m, members) in sets.items():
+        records, more, rest = read(key, ok, m, members)
+        results.update(records)
+        tests += more
+        if rest:
+            left.append((ok, m, rest))
+    for pair_index, p in _tests(tests, config, gi, jobs).items():
+        results[pair_index] = (*results[pair_index][:3], p)
+    return results, left
 
 
 def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None, jobs: int | None = 1) -> CorrelationTable:
     """One record per unordered column pair per group: K columns -> K(K-1)/2.
 
-    With p-values, each set of rows runs its tests in up to ``jobs``
-    processes (None: the CPUs this process may run on); the records are the
-    same for any count.
+    With p-values, the tests run in up to ``jobs`` processes (None: the
+    CPUs this process may run on); the records are the same for any count.
     """
     if config is None:
         config = ScreenConfig()
@@ -301,7 +394,7 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None, jobs: 
     records = []
     warnings = []
     usable_groups = 0
-    buffer = np.empty(0)  # the layouts of one set of rows, reused so that no set faults it in
+    buffer = np.empty(0)  # the layouts of a group's columns, reused so that no group or set faults it in
     for gi, (label, mask) in enumerate(masks):
         rows = int(mask.sum())
         if rows < MIN_COMPLETE_ROWS:
@@ -326,20 +419,24 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None, jobs: 
                 continue
             members.append((pair_index, a, b))
 
-        # Each set of rows is stored as one stack while K + 2 n x n matrices fit the budget:
-        # each column stores half of one, which leaves room for a permutation test's block
-        # of y's distances.  Otherwise it is a stack of sorted forms.
+        sets = {key: value for key, value in by_rows.items() if value[2]}
+        used = {c for _, _, members in sets.values() for _, a, b in members for c in (a, b)}
+        data[[c for c in range(len(names)) if c not in used]] = 0.0  # in no pair: constant, so its layout is 0
+        # The group's columns are stored as one stack while K + 2 n x n matrices fit the budget:
+        # each column stores half of one, which leaves room for a permutation test's block of
+        # y's distances.  The pairs that it does not serve take stacks of their own set of rows
+        # in the same buffer.  Otherwise each set of rows is a stack of sorted forms.
         stacked = rows_that_fit(rows, core.DEFAULT_MEMORY_BUDGET) >= (len(names) + 2) * rows
-        results = {}
-        for ok, n, members in by_rows.values():
-            if not members:
-                continue
+        size = len(names) * (rows // 2 + 1) * rows if stacked and sets else 0
+        if buffer.size < size:
+            del buffer  # freed before the larger one is allocated
+            buffer = np.empty(size)
+        results, left = _read_nested(data, bits, sets, buffer[:size].reshape(len(names), rows // 2 + 1, rows),
+                                     config, gi, jobs) if size else ({}, list(sets.values()))
+        for ok, n, members in left:
             cols = sorted({c for _, a, b in members for c in (a, b)})
             local = {c: k for k, c in enumerate(cols)}
-            size = len(cols) * (n // 2 + 1) * n if stacked else 0
-            if buffer.size < size:
-                del buffer  # freed before the larger one is allocated
-                buffer = np.empty(size)
+            size = len(cols) * (n // 2 + 1) * n if stacked else 0  # within the group's stack
             results.update(_read_pairs(
                 data[np.ix_(cols, ok)], [(pair_index, local[a], local[b]) for pair_index, a, b in members],
                 buffer[:size].reshape(len(cols), n // 2 + 1, n) if stacked else None, config, gi, jobs))
@@ -381,12 +478,8 @@ def flag_outliers(table: CorrelationTable, rule: OutlierRule | None = None) -> C
     thresholds = {}
     for group, recs in by_group.items():
         if len(recs) >= MIN_GROUP_RECORDS:
-            dcors = np.array([r.dcor for r in recs])
-            pearsons = np.abs([r.pearson for r in recs])
-            thresholds[group] = (
-                float(np.percentile(dcors, rule.low_dcor_percentile)),
-                float(np.median(pearsons)),
-            )
+            thresholds[group] = (_percentile(sorted(r.dcor for r in recs), rule.low_dcor_percentile),
+                                 _median(sorted(abs(r.pearson) for r in recs)))
 
     new_records = []
     for rec in table.records:
@@ -397,9 +490,32 @@ def flag_outliers(table: CorrelationTable, rule: OutlierRule | None = None) -> C
             dcor_cut, pearson_median = thresholds[rec.group]
             if rec.dcor < dcor_cut and abs(rec.pearson) > pearson_median:
                 flags.append("low-dcor-outlier")
-        new_records.append(PairRecord(rec.group, rec.var_a, rec.var_b, rec.n, rec.pearson, rec.dcor,
-                                      rec.p_value, tuple(flags)))  # dataclasses.replace costs 3 us a record
+        if tuple(flags) != rec.flags:  # rebuilt only then: dataclasses.replace costs 3 us a record
+            rec = PairRecord(rec.group, rec.var_a, rec.var_b, rec.n, rec.pearson, rec.dcor, rec.p_value, tuple(flags))
+        new_records.append(rec)
     return replace(table, records=tuple(new_records))
+
+
+def _percentile(values: list, q: float) -> float:
+    """``np.percentile(values, q)`` of sorted values, bit for bit: numpy's ``linear`` method.
+
+    The virtual index is (n - 1) q / 100, and the value lies between its
+    floor's and the next, interpolated as numpy's ``_lerp`` does: from the
+    upper one when the weight t is at least 0.5.  numpy 2's percentile and
+    median import ``numpy.ma`` (15-17 ms) through ``np.unique``.
+    """
+    i = (len(values) - 1) * (q / 100)
+    if i >= len(values) - 1:
+        return values[-1]
+    k = math.floor(i)
+    a, b, t = values[k], values[k + 1], i - k
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
+def _median(values: list) -> float:
+    """``np.median`` of sorted values, bit for bit: the middle one, or the mean of the middle two."""
+    h = len(values) // 2
+    return values[h] if len(values) % 2 else (values[h - 1] + values[h]) / 2
 
 
 _FIELDS = ("group", "var_a", "var_b", "n", "pearson", "dcor", "p_value", "flags")

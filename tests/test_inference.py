@@ -1,5 +1,6 @@
 import os
 import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -356,6 +357,11 @@ class TestPowerSimulation:
         with pytest.raises(ValueError):
             power_simulation("independent", 20, 1, 1.5, 9, 0)
 
+    @pytest.mark.parametrize("n", [2.5, 1, True])
+    def test_n_is_a_whole_number_of_at_least_2(self, n):
+        with pytest.raises(UsageError, match=rf"^n must be an integer of at least 2, got {n!r}$"):
+            power_simulation("linear", n, 1, 0.05, 9, 0)
+
     def test_pearson_pvalue_of_constant_sample_is_one(self):
         x = np.arange(6.0)
         assert inference._pearson_permutation_pvalue(np.full(6, 2.5), x, 19, 1) == 1.0
@@ -459,6 +465,22 @@ class TestForkedReplicates:
         with pytest.raises(DataQualityError, match="replicate 2 failed"):
             permutation_test(x, y, 999, seed=1, jobs=3)
         assert forking == [[3, None]]  # the parent's own chunk raised
+        assert_no_child_left()
+
+    def test_an_error_here_kills_a_child_still_running(self):
+        # the parent's span raises while the child's would run for 30 s: the child is killed, not awaited
+        parent = os.getpid()
+
+        def span(items):
+            if os.getpid() == parent:
+                raise DataQualityError("the parent's span failed")
+            time.sleep(30)
+            return [0.0] * len(items)
+
+        start = time.monotonic()
+        with pytest.raises(DataQualityError, match="the parent's span failed"):
+            inference._fork_map(span, list(range(4)), 2)
+        assert time.monotonic() - start < 5
         assert_no_child_left()
 
     @pytest.mark.parametrize("fault", ["exit", "short"])

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -298,9 +300,11 @@ class TestPairwiseScreen:
             ds = replace(base, columns={**base.columns, "a": scale * base.columns["a"]})
             calls.clear()
             table = pairwise_screen(ds, cfg)
-            # pearson's deviations, like the distance matrices: once per column and set of rows
-            # it is in (see test_one_distance_matrix_per_column_and_group), and no sample's again
-            assert calls == [(2,), (3,), (3,), (2,), (4,)]
+            # g0: the group's four columns, then c and d over their own rows; the deviations on c's
+            # rows and on d's rows (a, b and that column), for Pearson and a and b's dVar^2 there,
+            # each taken again for the tests' sorted forms; then the stack of (c, d) on their common
+            # rows.  g1: its four columns.  No sample's deviations again
+            assert calls == [(4,), (1,), (1,), (3,), (3,), (3,), (3,), (2,), (4,)]
             for r, u in zip(table.records, unscaled.records):
                 mask = ds.group_labels == r.group
                 a, b = ds.columns[r.var_a][mask], ds.columns[r.var_b][mask]
@@ -326,10 +330,10 @@ class TestPairwiseScreen:
         assert calls == [(3, 40)] * 2  # 3 columns in each of 2 groups
         calls.clear()
         pairwise_screen(ds)
-        # Each column once per set of rows it is in.  g0: a and b on all rows; c and, restricted
-        # to c's rows, a and b; d, a and b at d's rows; c and d at the rows both have.  g1 has
-        # no gaps: one stack of its four columns.
-        assert calls == [(2, 40), (3, 37), (3, 37), (2, 34), (4, 40)]
+        # One layout per column and group: g0's four columns, c and d each over its own rows,
+        # zero-padded, serve every pair but (c, d), whose rows are neither column's: c and d at
+        # the rows both have.  g1 has no gaps: one stack of its four columns.
+        assert calls == [(4, 40), (2, 34), (4, 40)]
         assert per_pair == []
 
     def test_p_values_center_each_pair_once(self, monkeypatch):
@@ -342,8 +346,10 @@ class TestPairwiseScreen:
         without = list(calls)
         calls.clear()
         table = pairwise_screen(ds, ScreenConfig(p_values=True, replicates=9, seed=4))
-        # the stacks' forms serve the Gram products and the tests alike
-        assert calls == without == [(2, 40), (3, 37), (3, 37), (2, 34), (4, 40)]
+        # the stacks serve the Gram products and the tests alike, but for the pairs on c's or d's
+        # rows, whose tests take sorted forms over those rows, made only with p-values
+        assert without == [(4, 40), (2, 34), (4, 40)]
+        assert calls == [(4, 40), (3, 37), (3, 37), (2, 34), (4, 40)]
         assert per_pair == []
         for gi, group in enumerate(("g0", "g1")):
             mask = ds.group_labels == group
@@ -558,8 +564,12 @@ class TestForkedPValues:
         assert tables[0].records and all(r.p_value is not None for r in tables[0].records)
         assert tables[1] == tables[0] and tables[2] == tables[0]
         # group g0's sets under pairwise-drop: (a, b); the stars of c and of d, two pairs each; (c, d).
-        # Then group g1's one set of six pairs
-        assert chunks == [1, 1, 1, 1, 1] + [1, 2, 2, 1, 2] + [1, 2, 2, 1, 3]
+        # Then group g1's one set of six pairs.  While the group's stack fits, the first three sets'
+        # five pairs are read off it and tested as one list
+        if budget == 50_000:
+            assert chunks == [1, 1, 1, 1, 1] + [1, 2, 2, 1, 2] + [1, 2, 2, 1, 3]
+        else:
+            assert chunks == [1, 1, 1] + [2, 1, 2] + [3, 1, 3]
         with pytest.raises(ChildProcessError):  # every child was reaped
             os.waitpid(-1, os.WNOHANG)
 
@@ -633,6 +643,36 @@ class TestFlagOutliers:
         assert "nonlinear-candidate" not in flag_outliers(make_table([rec])).records[0].flags
         loose = flag_outliers(make_table([rec]), OutlierRule(nonlinear_gap=0.1))
         assert "nonlinear-candidate" in loose.records[0].flags
+
+    def test_thresholds_are_numpys_percentile_and_median_bit_for_bit(self):
+        rng = np.random.default_rng(27)
+        for case in range(3000):
+            n = int(rng.integers(1, 60))
+            values = [rng.random(n), rng.integers(0, 4, n) / 3.0, rng.normal(size=n)][case % 3]  # ties, signs
+            q = [0.0, 2.5, 5.0, 50.0, 99.9, 100.0, float(rng.uniform(0, 100))][case % 7]
+            ordered = sorted(values.tolist())
+            assert np.float64(screening._percentile(ordered, q)).tobytes() == np.percentile(values, q).tobytes()
+            assert np.float64(screening._median(ordered)).tobytes() == np.median(values).tobytes()
+
+    def test_unchanged_records_are_kept(self):
+        flagged = PairRecord("g", "a", "b", 10, pearson=0.0, dcor=0.5, flags=("nonlinear-candidate",))
+        plain = PairRecord("g", "a", "c", 10, pearson=0.9, dcor=0.95)
+        out = flag_outliers(make_table([flagged, plain]))
+        assert out.records[0] is flagged and out.records[1] is plain
+
+    def test_screen_does_not_import_numpy_ma(self, tmp_path):
+        # numpy 2's percentile and median import numpy.ma (15-17 ms) through np.unique
+        rng = np.random.default_rng(28)
+        path = tmp_path / "table.csv"
+        rows = rng.normal(size=(30, 7)).tolist()
+        path.write_text("a,b,c,d,e,f,g\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+        src = os.path.dirname(os.path.dirname(screening.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = ["screen", "--data", str(path), "--seed", "1", "--out", str(tmp_path / "out.csv")]
+        code = f"import sys; from distcorr import cli; print(cli.main({argv!r}), 'numpy.ma' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split()[-2:] == ["0", "False"]
+        assert len((tmp_path / "out.csv").read_text().splitlines()) == 1 + 21  # one group of 21 records
 
 
 class TestEmitPlotData:
