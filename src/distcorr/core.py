@@ -3,7 +3,8 @@
 Each sample gets one ``CenteredMatrix``, its double-centered distance matrix
 laid out by shift, and every statistic is one weighted sum over shifts of two
 of them, as is every permutation replicate: ``_shift_sum`` in blocks sized by
-``block_rows``, and ``gram`` for every pair of K stored layouts at once.
+``block_rows``, and ``gram`` for every pair of K stored layouts at once,
+one product per table of columns that the screen stores.
 ``rows_that_fit`` is the one byte rule: a sample whose N x N float64 matrix
 fits its budget is materialized, its shifts stored (about half of that matrix).
 Otherwise a scalar sample takes the sorted form, whose inner product with
@@ -148,25 +149,18 @@ class CenteredMatrix:
         return 0.0
 
 
-def gram(layouts: np.ndarray, star: int | None = None) -> np.ndarray:
+def gram(layouts: np.ndarray) -> np.ndarray:
     """``inner`` of every pair of K stored layouts at once, with no scale check: a K x K matrix.
 
     ``layouts`` is the (K, n//2 + 1, n) stack of their ``shifts``.  Each sum
     is three BLAS products over views of the flattened layouts, weighted as
     in ``_shift_sum``: the shifts 0 < s < n/2 twice, then s = n/2 (n even)
-    and s = 0 once.  With ``star`` = c, only row and column c and each
-    layout against itself are taken (one matrix-vector product per part,
-    and each layout's sum of squares); the other entries are NaN.
+    and s = 0 once.
     """
     k, rows, n = layouts.shape
     flat, below = layouts.reshape(k, rows * n), (n + 1) // 2 * n  # the end of the shifts below n/2
     parts = ((2.0, flat[:, n:below]), (1.0, flat[:, below:]), (1.0, flat[:, :n]))
-    if star is None:
-        return sum(w * (p @ p.T) for w, p in parts) / (n * n)
-    total = np.full((k, k), np.nan)
-    total[star] = total[:, star] = sum(w * (p @ p[star]) for w, p in parts)
-    np.fill_diagonal(total, sum(w * np.einsum("ij,ij->i", p, p) for w, p in parts))
-    return total / (n * n)
+    return sum(w * (p @ p.T) for w, p in parts) / (n * n)
 
 
 @dataclass(frozen=True)

@@ -6,29 +6,31 @@ selected columns within each group, applies configurable outlier flags,
 and emits plot-ready CSV or JSON.
 
 A group's pairs are sorted by their complete-case rows, each pair keyed
-by its own rows as a bit set.  While a group's K centered columns fit
-``core.DEFAULT_MEMORY_BUDGET``, the one budget that its permutation tests
-read too, each column is centered once over its own rows, zero-padded,
-into one (K, n//2 + 1, n) buffer reused from group to group, and one
-``core.gram`` product over it serves every pair whose rows are one of
-its columns' rows (``_read_nested``).  Each other set of rows is read in
-one go (``_read_pairs``): its distinct columns, restricted to those rows,
-are centered as one stack (``core._centered_columns``), stored in the
-same buffer, whose Gram product gives its pairs' dcov^2 and dVar^2.
-Above the budget every set's stack is of sorted forms, in O(K n) memory.
-A pair of sorted forms, or one whose Gram entries come out negative or
-NaN, takes ``inner`` and ``dvar`` on its two forms.  Every pair's Pearson
-is its set's sums over its own rows.
+by its own rows as a bit set.  One reader (``_read_table``) takes a table
+of columns: each column is centered once over its own rows
+(``core._centered_columns``), and every pair whose rows are one of its
+columns' rows is read off the table.  While a group's K centered columns
+fit ``core.DEFAULT_MEMORY_BUDGET``, the one budget that its permutation
+tests read too, the group is one table, stored zero-padded in one
+(K, n//2 + 1, n) buffer reused from group to group, and one ``core.gram``
+product over it gives those pairs' dcov^2 and dVar^2.  Each set of rows
+that it leaves is a table of its own: its distinct columns restricted to
+those rows, all complete, in the same buffer.  Above the budget each set
+of rows is a table of sorted forms, in O(K n) memory.  A pair of sorted
+forms, or one whose Gram entries come out negative or NaN, takes
+``inner`` and ``dvar`` on its two forms.  Every pair's Pearson is its
+set's sums over its own rows.
 
-With p-values, the tests of a group's pairs that its product serves, as
-one list, and then those of each other set, are split into contiguous
-spans after their forms exist, one per process that ``inference._plan``
-allows for them (``jobs``: one unless asked, None for every CPU this
-process may run on), and each span after the first runs in a forked
-child that shares the forms copy-on-write (``inference._fork_map``); a
-span whose child fails, or that cannot be forked, runs in this process.
-Each test stays serial.  Every pair's test is seeded by (seed, group,
-pair), so the records are the same for any count.
+With p-values, the tests of each table's pairs, as one list, are split
+into contiguous spans after their forms exist, one per process that
+``inference._plan`` allows for them (``jobs``: one unless asked, None for
+every CPU this process may run on), and each span after the first runs
+in a forked child that shares the forms copy-on-write
+(``inference._fork_map``); a span whose child fails, or that cannot be
+forked, runs in this process.  Each test stays serial, and a table's
+tests end before the next table reuses the buffer.  Every pair's test
+is seeded by (seed, group, pair), so the records are the same for any
+count.
 """
 from __future__ import annotations
 
@@ -36,7 +38,6 @@ import csv
 import json
 import math
 import os
-import tempfile
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache
 from operator import itemgetter
@@ -229,11 +230,6 @@ def _pair_seed(base_seed: int, group_index: int, pair_index: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _star(pairs: list) -> int | None:
-    """The least column in every pair (pair index, i, j), or None."""
-    return min(set.intersection(*({i, j} for _, i, j in pairs)), default=None)
-
-
 def _read(pairs: list, vxy: np.ndarray, dvar_sq: np.ndarray, deviations: np.ndarray, forms) -> dict:
     """(dcor, pearson) of each pair (pair index, i, j) of a stack of columns, by pair index.
 
@@ -241,13 +237,14 @@ def _read(pairs: list, vxy: np.ndarray, dvar_sq: np.ndarray, deviations: np.ndar
     pair where any of them is negative or NaN takes ``inner`` and ``dvar``
     on ``forms()``'s i and j instead, for the scale check of ``inner``.
     Pearson takes ``pearson``'s sums of the scaled ``deviations``' products,
-    one column (``_star``, or each pair's lower one) against all its
-    partners at a time, so it is ``pearson``'s value (None for a zero norm).
+    one column (the least one in every pair, or each pair's lower one)
+    against all its partners at a time, so it is ``pearson``'s value (None
+    for a zero norm).
     """
     with np.errstate(invalid="ignore"):  # NaN for a negative or NaN dVar^2
         dvars, vxy = np.sqrt(dvar_sq).tolist(), vxy.tolist()
     norms = np.sqrt((deviations * deviations).sum(axis=1))
-    star, partners, results = _star(pairs), {}, {}
+    star, partners, results = min(set.intersection(*({i, j} for _, i, j in pairs)), default=None), {}, {}
     for pair in pairs:
         partners.setdefault(min(pair[1:]) if star is None else star, []).append(pair)
     for first, group in partners.items():
@@ -280,88 +277,69 @@ def _tests(tests: list, config: ScreenConfig, gi: int, jobs: int | None) -> dict
     return {pair_index: p for (pair_index, _, _), p in zip(tests, p_values.tolist())}
 
 
-def _read_pairs(columns: np.ndarray, pairs: list, layouts: np.ndarray | None, config: ScreenConfig,
-                gi: int, jobs: int | None) -> dict:
-    """(n, dcor, pearson, p-value) of each pair (pair index, i, j) of the rows of ``columns``, by pair index.
+def _read_table(data: np.ndarray, sets: list, layouts: np.ndarray | None, config: ScreenConfig,
+                gi: int, jobs: int | None) -> tuple[dict, list]:
+    """(n, dcor, pearson, p-value) by pair index of each pair of a table whose rows are one of its two columns' rows.
 
-    ``columns`` is a (K, n) stack of columns with no missing cell.  Given
-    ``layouts``, a (K, n//2 + 1, n) array, they are centered into it and one
-    ``gram`` gives every dcov^2 and dVar^2: the whole product, or only one
-    row of it when one column is in every pair (``_star``).  Every pair of
-    sorted forms (``layouts`` None) takes ``inner`` and ``dvar`` (``_read``).
-    With ``config.p_values``, each pair's permutation test takes its two
-    forms once every pair's dcor is read (``_tests``).
-    """
-    forms, deviations = _centered_columns(columns, _unit_exponents(columns), layouts)
-    vxy = np.full((len(forms),) * 2, np.nan) if layouts is None else gram(layouts, _star(pairs))
-    results = _read(pairs, vxy, np.diag(vxy), deviations, lambda: forms)
-    tested = _tests([(pair_index, forms[i], forms[j]) for pair_index, i, j in pairs], config, gi, jobs)
-    return {pair_index: (columns.shape[1], *results[pair_index], tested.get(pair_index)) for pair_index, _, _ in pairs}
+    ``data`` is a (K, N) stack of columns, NaN where a cell is missing;
+    ``sets`` holds its pairs (pair index, column, column) by their rows, as
+    (rows, their count, pairs).  Each column is centered once over its own
+    rows (``_centered_columns``).  Given ``layouts``, a (K, N//2 + 1, N)
+    array, they are stored in it, zero-padded, and one ``gram`` takes them
+    all.  Without, the columns are complete and become sorted forms, and
+    each pair takes ``inner`` and ``dvar`` on its two (``_read``).
 
-
-def _read_nested(data: np.ndarray, bits: list, sets: dict, layouts: np.ndarray, config: ScreenConfig,
-                 gi: int, jobs: int | None) -> tuple[dict, list]:
-    """Each pair whose rows are one of its columns' rows, read off one Gram product of the group's columns.
-
-    ``data`` is the group's (K, N) stack of columns, NaN where a cell is
-    missing, and ``bits`` each one's rows as a bit set; ``sets`` holds the
-    pairs (pair index, column, column) by their rows' bit set, as (rows,
-    their count, pairs).  Each column is centered once over its own rows
-    into ``layouts``, zero-padded (``_centered_columns``), and one ``gram``
-    takes them all.  Let S be a pair's rows, m = |S|, and S be column i's
-    rows (the inner column): i's layout is its matrix centered over S, and
-    the other column's layout differs from its own matrix centered over S
-    only by row and column constants, which sum to 0 against i's.  So
-    dcov^2 over S is G_ij N^2 / m^2, and i's dVar^2 is G_ii N^2 / m^2.
-    The other column's dVar^2 over S comes from its sorted terms
-    (``core._sorted_deviations``), for all of a set's columns at once with
-    their deviations for Pearson, and its sorted form is made only for a p-value
-    or a negative or NaN entry; complete columns keep the group's own forms.
-    The other column serves only while its exponent over S is that over its
-    own rows (``_unit_exponents``): otherwise values outside S would enter
-    as row constants large against its distances in S, which cancel only in
-    exact arithmetic.  Returns the records by pair index, and the sets (rows,
-    count, pairs) of the other pairs, which take their own stacks.
+    Let S be a pair's rows, m = |S|, and S be column i's rows (the inner
+    column): i's layout is its matrix centered over S, and the other
+    column's layout differs from its own matrix centered over S only by row
+    and column constants, which sum to 0 against i's.  So dcov^2 over S is
+    G_ij N^2 / m^2, and i's dVar^2 is G_ii N^2 / m^2.  The other column's
+    dVar^2 over S comes from its sorted terms (``core._sorted_deviations``),
+    for all of a set's columns at once with their deviations for Pearson,
+    and its sorted form is made only for a p-value or a negative or NaN
+    entry; where m = N, the table's own forms serve.  The other column
+    serves only while its exponent over S is that over its own rows
+    (``_unit_exponents``): otherwise values outside S would enter as row
+    constants large against its distances in S, which cancel only in exact
+    arithmetic.  With ``config.p_values``, the tests of the pairs read run
+    once every dcor is read (``_tests``), before the forms' layouts are
+    reused.  Returns the records by pair index, and the sets (rows, count,
+    pairs) of the other pairs, each of which is a table of its own.
     """
     n = data.shape[1]
     exponents = _unit_exponents(data)
-    group_forms, deviations = _centered_columns(data, exponents, layouts)
-    vxy = gram(layouts)
-    diag = np.diag(vxy)
+    table_forms, deviations = _centered_columns(data, exponents, layouts)
+    vxy = np.full((len(data),) * 2, np.nan) if layouts is None else gram(layouts)
+    diag, counts = np.diag(vxy), np.isfinite(data).sum(axis=1)
 
-    def read(key: int, ok: np.ndarray, m: int, members: list) -> tuple[dict, list, list]:
-        """A set's records and tests that the Gram product serves, and its other pairs."""
+    results, tests, left = {}, [], []
+    for ok, m, members in sets:
         if m == n:  # complete columns, each centered over these rows already
-            nested, forms = members, lambda: group_forms
+            nested, forms = members, lambda: table_forms
             records = _read(members, vxy, diag, deviations, forms)
         else:
             cols = sorted({c for _, a, b in members for c in (a, b)})
             local, index = {c: k for k, c in enumerate(cols)}, np.ix_(cols, ok)
             own = _unit_exponents(data[index])
-            inner = np.array([bits[c] == key for c in cols])
+            inner = counts[cols] == m  # S is a subset of each column's rows
             fits = own == exponents[cols]  # the range guard; true of every inner column
             nested = [(pair_index, local[a], local[b]) for pair_index, a, b in members
                       if (inner[local[a]] or inner[local[b]]) and fits[local[a]] and fits[local[b]]]
             if not nested:
-                return {}, [], members
+                left.append((ok, m, members))
+                continue
             ratio = n * n / (m * m)
             d, sorted_sq = _sorted_deviations(data, index, own)
             dvar_sq = np.where(inner, diag[cols] * ratio, sorted_sq)
             # sorted forms over these rows, for p-values and negative or NaN entries
             forms = cache(lambda: _centered_columns(data[index], own, None)[0])
             records = _read(nested, vxy[np.ix_(cols, cols)] * ratio, dvar_sq, d, forms)
+        results.update((pair_index, (m, *record, None)) for pair_index, record in records.items())
+        if config.p_values:
+            tests += [(pair_index, forms()[i], forms()[j]) for pair_index, i, j in nested]
         taken = {pair_index for pair_index, _, _ in nested}
-        tests = [(pair_index, forms()[i], forms()[j]) for pair_index, i, j in nested] if config.p_values else []
-        return ({pair_index: (m, *record, None) for pair_index, record in records.items()}, tests,
-                [pair for pair in members if pair[0] not in taken])
-
-    results, tests, left = {}, [], []
-    for key, (ok, m, members) in sets.items():
-        records, more, rest = read(key, ok, m, members)
-        results.update(records)
-        tests += more
-        if rest:
-            left.append((ok, m, rest))
+        if len(taken) < len(members):
+            left.append((ok, m, [pair for pair in members if pair[0] not in taken]))
     for pair_index, p in _tests(tests, config, gi, jobs).items():
         results[pair_index] = (*results[pair_index][:3], p)
     return results, left
@@ -373,6 +351,8 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None, jobs: 
     With p-values, the tests run in up to ``jobs`` processes (None: the
     CPUs this process may run on); the records are the same for any count.
     """
+    if jobs is not None:
+        check_count("jobs", jobs)
     if config is None:
         config = ScreenConfig()
     names = list(dataset.columns)
@@ -419,27 +399,27 @@ def pairwise_screen(dataset: Dataset, config: ScreenConfig | None = None, jobs: 
                 continue
             members.append((pair_index, a, b))
 
-        sets = {key: value for key, value in by_rows.items() if value[2]}
-        used = {c for _, _, members in sets.values() for _, a, b in members for c in (a, b)}
+        sets = [value for value in by_rows.values() if value[2]]
+        used = {c for _, _, members in sets for _, a, b in members for c in (a, b)}
         data[[c for c in range(len(names)) if c not in used]] = 0.0  # in no pair: constant, so its layout is 0
-        # The group's columns are stored as one stack while K + 2 n x n matrices fit the budget:
+        # The group's columns are stored as one table while K + 2 n x n matrices fit the budget:
         # each column stores half of one, which leaves room for a permutation test's block of
-        # y's distances.  The pairs that it does not serve take stacks of their own set of rows
-        # in the same buffer.  Otherwise each set of rows is a stack of sorted forms.
+        # y's distances.  The pairs that it does not serve take tables of their own set of rows
+        # in the same buffer.  Otherwise each set of rows is a table of sorted forms.
         stacked = rows_that_fit(rows, core.DEFAULT_MEMORY_BUDGET) >= (len(names) + 2) * rows
         size = len(names) * (rows // 2 + 1) * rows if stacked and sets else 0
         if buffer.size < size:
             del buffer  # freed before the larger one is allocated
             buffer = np.empty(size)
-        results, left = _read_nested(data, bits, sets, buffer[:size].reshape(len(names), rows // 2 + 1, rows),
-                                     config, gi, jobs) if size else ({}, list(sets.values()))
+        results, left = _read_table(data, sets, buffer[:size].reshape(len(names), rows // 2 + 1, rows),
+                                    config, gi, jobs) if size else ({}, sets)
         for ok, n, members in left:
             cols = sorted({c for _, a, b in members for c in (a, b)})
             local = {c: k for k, c in enumerate(cols)}
-            size = len(cols) * (n // 2 + 1) * n if stacked else 0  # within the group's stack
-            results.update(_read_pairs(
-                data[np.ix_(cols, ok)], [(pair_index, local[a], local[b]) for pair_index, a, b in members],
-                buffer[:size].reshape(len(cols), n // 2 + 1, n) if stacked else None, config, gi, jobs))
+            size = len(cols) * (n // 2 + 1) * n
+            results.update(_read_table(
+                data[np.ix_(cols, ok)], [(None, n, [(pair_index, local[a], local[b]) for pair_index, a, b in members])],
+                buffer[:size].reshape(len(cols), n // 2 + 1, n) if stacked else None, config, gi, jobs)[0])
         for pair_index, (var_a, var_b, _, _) in enumerate(pairs):
             if pair_index in results:
                 n, r, p, tested = results[pair_index]
@@ -527,8 +507,9 @@ def emit_plot_data(table: CorrelationTable, format: str, path) -> None:
         raise UsageError(f"unknown output format {format!r}; use {' or '.join(FORMATS)}")
     records = sorted(table.records, key=lambda r: (r.group, r.var_a, r.var_b))
 
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    # a new file beside the output, with the mode that a plain open gives it (0o666 less the umask)
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
             if format == "csv":

@@ -279,6 +279,14 @@ class TestPairwiseScreen:
         with pytest.raises(UsageError, match=f"^{field} must be"):
             ScreenConfig(**config)
 
+    @pytest.mark.parametrize("jobs", [0, -3, 2.5, True, "x"])
+    def test_jobs_rejected_before_any_work(self, jobs, monkeypatch):
+        calls = builds(monkeypatch)
+        for config in (None, ScreenConfig(p_values=True, replicates=9)):
+            with pytest.raises(UsageError, match="^jobs must be a positive integer"):
+                pairwise_screen(gapped_dataset(), config, jobs=jobs)
+        assert calls == []  # not one table centered
+
     def test_p_values_deterministic(self, tmp_path):
         ds = synthetic_dataset(tmp_path, n=30)
         cfg = ScreenConfig(p_values=True, replicates=49, seed=99)
@@ -421,6 +429,29 @@ class TestPairwiseScreen:
             stats = dcor(u[keep], v[keep])
             assert (r.n, r.pearson) == (int(keep.sum()), stats.pearson)
             assert r.dcor == pytest.approx(stats.dcor, rel=1e-12)
+
+    def test_a_left_table_of_several_pairs(self, monkeypatch):
+        # each complete column has an outlier in a row that y misses, so none passes the range
+        # guard on y's rows: the four pairs (x_k, y) are left to one table of y's rows
+        rng = np.random.default_rng(27)
+        gone = [3, 11, 19, 27]
+        cols = {f"x{k}": rng.normal(size=40) for k in range(4)}
+        for k, row in enumerate(gone):
+            cols[f"x{k}"][row] = 1e6
+        cols["y"] = rng.normal(size=40)
+        cols["y"][gone] = np.nan
+        calls = builds(monkeypatch)
+        table = pairwise_screen(Dataset(columns=cols, row_count=40), ScreenConfig(p_values=True, replicates=19, seed=3))
+        assert calls == [(5, 40), (5, 36)]
+        assert len(table.records) == 10
+        for pair_index, r in enumerate(table.records):
+            x, y = cols[r.var_a], cols[r.var_b]
+            ok = np.isfinite(x) & np.isfinite(y)
+            stats = dcor(x[ok], y[ok])
+            assert (r.n, r.pearson) == (int(ok.sum()), stats.pearson)
+            assert r.dcor == pytest.approx(stats.dcor, rel=1e-12)
+            assert r.p_value == permutation_test(x[ok], y[ok], 19, screening._pair_seed(3, 0, pair_index)).p_value
+        assert sum(r.n == 36 for r in table.records) == 4
 
     def test_column_constant_on_another_columns_rows(self):
         a = np.array([1.0, 1.0, 2.0, 1.0, 1.0, 3.0, 1.0, 1.0])
@@ -728,6 +759,15 @@ class TestEmitPlotData:
             emit_plot_data(make_table(self.records()), "csv", path)
         assert path.read_text() == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    def test_output_has_the_mode_of_a_plain_write(self, tmp_path):
+        umask = os.umask(0o022)
+        try:
+            emit_plot_data(make_table(self.records()), "csv", tmp_path / "out.csv")
+        finally:
+            os.umask(umask)
+        assert os.stat(tmp_path / "out.csv").st_mode & 0o777 == 0o644
 
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
