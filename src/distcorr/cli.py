@@ -10,6 +10,7 @@ with ``taskset``); their output is the same for any count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import secrets
@@ -36,6 +37,7 @@ from .screening import (
     MISSING_POLICIES,
     OutlierRule,
     ScreenConfig,
+    _temporary,
     emit_plot_data,
     flag_outliers,
     load_dataset,
@@ -136,6 +138,14 @@ def cmd_screen(args) -> int:
         raise UsageError(f"--out {args.out!r} names a directory")
     if not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         raise UsageError(f"--out {args.out!r} is in a directory that does not exist")
+    try:  # what emit_plot_data does: its temporary file beside the output, then the output's name
+        fd, tmp = _temporary(args.out)
+        os.close(fd)
+        os.unlink(tmp)
+        with contextlib.suppress(FileNotFoundError):
+            os.lstat(args.out)
+    except OSError as exc:
+        raise UsageError(f"--out {args.out!r} cannot be written: {exc.strerror}") from None
     config = ScreenConfig(p_values=args.p_values, replicates=args.replicates, seed=_resolve_seed(args.seed))
     dataset = load_dataset(
         args.data,

@@ -370,28 +370,37 @@ def cross_term(x: np.ndarray, y: np.ndarray, x_order: np.ndarray, y_order: np.nd
     of the earlier i, signed by s_ij, so each j needs the sums of those
     weights over the earlier i that come before it in y's order.  Merge
     levels find them: at block size h, each element of the second half of a
-    2h-block takes the sums over the first half's elements of smaller rank.
-    Each level is one stable argsort of two sorted runs per block.  Pass
-    centered, scaled values, as the terms of the expansion cancel.
+    2h-block takes the sums over the first half's elements of smaller rank,
+    which for the weight 1 are counts.  Each level is one stable argsort:
+    for n <= 2^17, of the positions in rank order by their block, as uint16
+    keys (a block is at most (n - 1) >> 1), which numpy radix-sorts; above,
+    of two sorted runs per block by (block, rank).  Pass centered, scaled
+    values, as the terms of the expansion cancel.
     """
     n = len(x)
     x, y = x[x_order], y[x_order]
     rank = np.empty(n, dtype=np.intp)
     rank[y_order] = np.arange(n)
     rank = rank[x_order]  # y's rank of each element, in x's order
+    by_rank = np.empty(n, dtype=np.intp)
+    by_rank[rank] = np.arange(n)  # positions in rank order
     weights = (np.ones(n), x, y, x * y)
     below = [np.zeros(n) for _ in weights]  # sums over earlier elements of smaller rank
     merged = np.arange(n)  # positions, sorted by (position >> level, rank)
     level = 0
     while (1 << level) < n:
-        merged = merged[np.argsort((merged >> (level + 1)) * n + rank[merged], kind="stable")]
+        if n <= 1 << 17:
+            merged = by_rank[np.argsort((by_rank >> (level + 1)).astype(np.uint16), kind="stable")]
+        else:
+            merged = merged[np.argsort((merged >> (level + 1)) * n + rank[merged], kind="stable")]
         first = (merged >> level) & 1 == 0
         second = np.flatnonzero(~first)
         j = merged[second]
         upto = second - np.arange(len(second))  # first-half elements merged before each j
         start = (j >> (level + 1)) << level  # first-half elements in the blocks before j's
+        below[0][j] += upto - start
         left = merged[first]
-        for w, b in zip(weights, below):  # one weight at a time: 1-D gathers are the fast ones
+        for w, b in zip(weights[1:], below[1:]):  # one weight at a time: 1-D gathers are the fast ones
             sums = np.zeros(len(left) + 1)
             np.cumsum(w[left], out=sums[1:])
             b[j] += sums[upto] - sums[start]

@@ -35,12 +35,14 @@ count.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
+from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache
-from operator import itemgetter
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -53,6 +55,7 @@ MISSING_POLICIES = ("reject", "drop-row", "pairwise-drop")
 FORMATS = ("csv", "json")
 MIN_COMPLETE_ROWS = 3  # a pair screened in a group needs this many complete rows
 MIN_GROUP_RECORDS = 20  # the low-dcor percentile rule needs a populated group
+BLOCK_CHARS = 1 << 15  # text that load_dataset reads at a time: whole lines of about 32 KiB
 
 
 @dataclass(frozen=True)
@@ -119,22 +122,127 @@ def _parse_cell(text: str, row: int, name: str) -> float:
     return value
 
 
-def _parse_column(rows: list, j: int, name: str) -> np.ndarray:
-    """Cell j of every row as ``_parse_cell`` reads it, without a Python call per cell for a clean column.
+def _parse_column(cells: list, row: int, name: str) -> np.ndarray:
+    """A column's cells, the first at data row ``row``, as ``_parse_cell`` reads each, in one conversion.
 
-    ``float`` strips the whitespace that ``str.strip`` does, so a column of
-    finite numbers reads the same values.  A column with an empty,
-    non-numeric or non-finite cell is read again cell by cell, for its NaNs
-    or its error message.
+    numpy converts a str as ``float`` does, which ignores the whitespace
+    that ``_parse_cell`` strips.  Empty cells, and whitespace-only ones
+    after a strip, are converted as "nan", and must be the only cells that
+    are not finite, so that a cell "nan" is still an error.  A column with a
+    bad cell is read again cell by cell, for its error message.
     """
+    blank = cells.count("")
     try:
-        values = np.fromiter(map(float, map(itemgetter(j), rows)), np.float64, len(rows))
-    except ValueError:  # an empty or non-numeric cell
-        pass
-    else:
-        if np.isfinite(values).all():
-            return values
-    return np.array([_parse_cell(row[j], i, name) for i, row in enumerate(rows, start=1)])
+        values = np.array([cell or "nan" for cell in cells] if blank else cells, np.float64)
+    except ValueError:  # a whitespace-only or non-numeric cell
+        cells = list(map(str.strip, cells))
+        blank = cells.count("")
+        try:
+            values = np.array([cell or "nan" for cell in cells], np.float64)
+        except ValueError:
+            values = None
+    if values is not None and np.count_nonzero(np.isfinite(values)) == len(cells) - blank:
+        return values
+    return np.array([_parse_cell(cell, i, name) for i, cell in enumerate(cells, start=row)])
+
+
+def _split(block: str, delimiter: str, k: int) -> list | None:
+    """The block's cells, k to a line, in one list; or None where only ``csv.reader`` reads the block as it does.
+
+    ``str.split`` reads lines as csv.reader does when the block holds no
+    quote, carriage return or NUL, no blank line and no line longer than
+    csv's field limit, and the delimiter is not a quote or a line break.
+    Each line must then hold exactly k - 1 delimiters.
+    """
+    if delimiter in '"\r\n' or any(c in block for c in '"\r\0'):
+        return None
+    lines = block.split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return None
+    if not lines[-1]:
+        lines.pop()  # after the newline that ends the block
+    if k == 1:
+        return None if delimiter in block or "" in lines else lines
+    rows = list(map(str.split, lines, repeat(delimiter)))
+    del lines
+    return list(chain.from_iterable(rows)) if set(map(len, rows)) == {k} else None
+
+
+def _blocks(fh, path, delimiter: str):
+    """The header's names, stripped, then the data rows in blocks: (row count, their cells in one list, row by row).
+
+    The text is read in blocks of whole lines of about ``BLOCK_CHARS``
+    characters, without seeking, so that a pipe reads too.  Each block is
+    split in bulk (``_split``) up to the first that it leaves; from there
+    ``csv.reader`` reads the rest of the file, about as many cells at a
+    time, since quote-free text that ends at a newline leaves it at the
+    start of a record.  The blocks end at the first ragged row.  Errors are
+    raised only once the whole file has been read, in this order: a UTF-8 or
+    csv error, a duplicate name in the header, the first ragged row.
+    """
+    header, ragged, rows = None, None, 0
+    try:
+        while block := fh.read(BLOCK_CHARS):
+            block += fh.readline()  # to the end of its last line
+            k = block.partition("\n")[0].count(delimiter) + 1 if header is None else len(header)
+            flat = _split(block, delimiter, k)
+            if flat is None:
+                break
+            del block
+            if header is None:
+                header = [name.strip() for name in flat[:k]]
+                del flat[:k]
+                yield header
+            rows += len(flat) // k
+            yield len(flat) // k, flat
+            del flat
+        else:
+            block = ""  # every block was split: csv.reader finds the end of the file
+        before = 0 if header is None else rows + 1  # lines read, one to a row
+        reader = csv.reader(chain(io.StringIO(block, newline=""), fh), delimiter=delimiter)
+        del block
+        if header is None:
+            header = next(reader, None)
+            if header is None:
+                return
+            header = [name.strip() for name in header]
+            yield header
+        k = len(header)
+        while batch := list(islice(reader, BLOCK_CHARS // 16 // (k or 1) + 1)):
+            if set(map(len, batch)) != {k}:
+                i, row = next((i, row) for i, row in enumerate(batch) if len(row) != k)
+                ragged = DataFormatError(f"ragged row {rows + i + 1}: expected {k} cells, got {len(row)}")
+                deque(reader, maxlen=0)  # the rest of the file, for its errors
+                break
+            rows += len(batch)
+            yield len(batch), list(chain.from_iterable(batch))
+            del batch
+    except csv.Error as exc:
+        raise DataFormatError(f"unreadable CSV in {path} at line {before + reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start:exc.end]
+        raise DataFormatError(f"{path} is not UTF-8 text ({exc.reason}: {bad!r})") from None
+    if len(set(header)) < len(header):
+        raise DataFormatError(f"duplicate column names in header of {path}")
+    if ragged is not None:
+        raise ragged
+
+
+def _selected(header: list, group_by: str | None, columns: list[str] | None) -> list:
+    """The selected columns' names: ``columns``, stripped, or every column but the group's."""
+    if group_by is not None and group_by not in header:
+        raise DataFormatError(f"group column {group_by!r} not found in header")
+    selected = [name.strip() for name in columns] if columns is not None else [
+        h for h in header if h != group_by
+    ]
+    names, seen = set(header), set()
+    for name in selected:
+        if name not in names:
+            raise DataFormatError(f"selected column {name!r} not found in header")
+        if name in seen:
+            raise DataFormatError(f"column {name!r} selected twice")
+        seen.add(name)
+    return selected
 
 
 def load_dataset(
@@ -154,6 +262,14 @@ def load_dataset(
     spaces.  Policy ``reject`` aborts on the first missing cell; ``drop-row``
     removes rows with a missing value in any selected column and reports the
     count; ``pairwise-drop`` keeps NaNs for per-pair complete-case handling downstream.
+
+    The text is read in blocks (``_blocks``), and each selected column of a
+    block is converted at once (``_parse_column``) before the next block is
+    read, so memory holds the floats, the group labels and one block.  The
+    errors come in the order that reading the whole file first gives: UTF-8
+    and csv errors, an empty file, a duplicate name, a ragged row, a
+    group or selected column not in the header, the first bad cell of the
+    first selected column that has one, then ``reject``'s missing value.
     """
     if missing_policy not in MISSING_POLICIES:
         raise UsageError(
@@ -169,42 +285,36 @@ def load_dataset(
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from None
     with fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        blocks = _blocks(fh, path, delimiter)
+        header = next(blocks, None)
+        if header is None:
+            raise DataFormatError(f"{path} is empty")
         try:
-            header = next(reader, None)
-            rows = list(reader)
-        except csv.Error as exc:
-            raise DataFormatError(f"unreadable CSV in {path} at line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            bad = exc.object[exc.start:exc.end]
-            raise DataFormatError(f"{path} is not UTF-8 text ({exc.reason}: {bad!r})") from None
-    if header is None:
-        raise DataFormatError(f"{path} is empty")
-    header = [h.strip() for h in header]
-    if len(set(header)) != len(header):
-        raise DataFormatError(f"duplicate column names in header of {path}")
-    if set(map(len, rows)) - {len(header)}:
-        i, row = next((i, row) for i, row in enumerate(rows, start=1) if len(row) != len(header))
-        raise DataFormatError(f"ragged row {i}: expected {len(header)} cells, got {len(row)}")
-
-    if group_by is not None and group_by not in header:
-        raise DataFormatError(f"group column {group_by!r} not found in header")
-    selected = [name.strip() for name in columns] if columns is not None else [
-        h for h in header if h != group_by
-    ]
-    for i, name in enumerate(selected):
-        if name not in header:
-            raise DataFormatError(f"selected column {name!r} not found in header")
-        if name in selected[:i]:
-            raise DataFormatError(f"column {name!r} selected twice")
-
-    idx = {h: j for j, h in enumerate(header)}
-    data = {name: _parse_column(rows, idx[name], name) for name in selected}
-    groups = (
-        np.array(list(map(str.strip, map(itemgetter(idx[group_by]), rows))), dtype=object)
-        if group_by is not None
-        else None
-    )
+            selected = _selected(header, group_by, columns)
+        except DataFormatError:
+            deque(blocks, maxlen=0)  # the file's own errors come first
+            raise
+        idx = {h: j for j, h in enumerate(header)}
+        data = {name: np.empty(0) for name in selected}
+        faults, labels, rows = {}, [], 0
+        for n, flat in blocks:
+            for name, values in data.items():
+                if name not in faults:
+                    try:
+                        part = _parse_column(flat[idx[name]::len(header)], rows + 1, name)
+                    except DataFormatError as exc:
+                        faults[name] = exc
+                    else:
+                        values.resize(rows + n, refcheck=False)  # realloc: in place where it can be
+                        values[rows:] = part
+            if group_by is not None:
+                labels += map(str.strip, flat[idx[group_by]::len(header)])
+            rows += n
+            del flat
+    for name in selected:
+        if name in faults:
+            raise faults[name]
+    groups = np.array(labels, dtype=object) if group_by is not None else None
 
     dropped = 0
     if missing_policy == "reject":
@@ -221,7 +331,7 @@ def load_dataset(
             if groups is not None:
                 groups = groups[keep]
 
-    row_count = len(next(iter(data.values()))) if data else len(rows)
+    row_count = len(next(iter(data.values()))) if data else rows
     return Dataset(columns=data, row_count=row_count, group_labels=groups, dropped_rows=dropped)
 
 
@@ -501,15 +611,19 @@ def _median(values: list) -> float:
 _FIELDS = ("group", "var_a", "var_b", "n", "pearson", "dcor", "p_value", "flags")
 
 
+def _temporary(path) -> tuple[int, str]:
+    """A new file beside ``path``, with the mode that a plain open gives it (0o666 less the umask), and its name."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
+    return os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0), 0o666), tmp
+
+
 def emit_plot_data(table: CorrelationTable, format: str, path) -> None:
     """Write the table sorted by (group, var_a, var_b); atomic and deterministic."""
     if format not in FORMATS:
         raise UsageError(f"unknown output format {format!r}; use {' or '.join(FORMATS)}")
     records = sorted(table.records, key=lambda r: (r.group, r.var_a, r.var_b))
 
-    # a new file beside the output, with the mode that a plain open gives it (0o666 less the umask)
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f"tmp{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY | getattr(os, "O_BINARY", 0), 0o666)
+    fd, tmp = _temporary(path)
     try:
         with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
             if format == "csv":

@@ -1,4 +1,4 @@
-"""Reference forms for tests: a CenteredMatrix as an n x n array, and the permutation replicate as first written."""
+"""Reference forms for tests: a CenteredMatrix as an n x n array, and the replicate and cross_term as first written."""
 import numpy as np
 
 from distcorr import core
@@ -37,3 +37,40 @@ def replicate(a, y, perm, rows, work=None):
         hi = max(lo, min(s1, (n + 1) // 2) - s0)
         total += 2.0 * row_dots(ra[lo:hi], rb[lo:hi]) + row_dots(ra[:lo], rb[:lo]) + row_dots(ra[hi:], rb[hi:])
     return max(total / (n * n), 0.0)
+
+
+def cross_term(x: np.ndarray, y: np.ndarray, x_order: np.ndarray, y_order: np.ndarray) -> float:
+    """core.cross_term as first written, the reference that the fast one must equal bit for bit.
+
+    Every level sorts (block, rank) as int64 keys, and the weight 1 takes a
+    gather and a cumulative sum like the others.
+    """
+    n = len(x)
+    x, y = x[x_order], y[x_order]
+    rank = np.empty(n, dtype=np.intp)
+    rank[y_order] = np.arange(n)
+    rank = rank[x_order]  # y's rank of each element, in x's order
+    weights = (np.ones(n), x, y, x * y)
+    below = [np.zeros(n) for _ in weights]  # sums over earlier elements of smaller rank
+    merged = np.arange(n)  # positions, sorted by (position >> level, rank)
+    level = 0
+    while (1 << level) < n:
+        merged = merged[np.argsort((merged >> (level + 1)) * n + rank[merged], kind="stable")]
+        first = (merged >> level) & 1 == 0
+        second = np.flatnonzero(~first)
+        j = merged[second]
+        upto = second - np.arange(len(second))  # first-half elements merged before each j
+        start = (j >> (level + 1)) << level  # first-half elements in the blocks before j's
+        left = merged[first]
+        for w, b in zip(weights, below):  # one weight at a time: 1-D gathers are the fast ones
+            sums = np.zeros(len(left) + 1)
+            np.cumsum(w[left], out=sums[1:])
+            b[j] += sums[upto] - sums[start]
+        level += 1
+    total = 0.0
+    # each j adds x_j y_j D_1 - y_j D_x - x_j D_y + D_xy, where D = 2 * below - all earlier
+    for w, b, coef in zip(weights, below, (x * y, -y, -x, np.ones(n))):
+        signed = 2.0 * b
+        signed[1:] -= np.cumsum(w[:-1])
+        total += float(np.dot(coef, signed))
+    return 2.0 * total

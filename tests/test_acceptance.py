@@ -211,7 +211,7 @@ def test_performance_load(tmp_path):
     elapsed = time.monotonic() - start
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    ok = elapsed < 10.0 and peak <= 64 * 2**20 and ds.row_count == 15_352 and len(ds.columns) == 33
+    ok = elapsed < 10.0 and peak <= 8 * 2**20 and ds.row_count == 15_352 and len(ds.columns) == 33
     print(f"  load 15352 x 33 and a group column: {elapsed:.2f}s, peak {peak / 2**20:.1f} MiB")
     report("performance-load", ok)
 

@@ -364,6 +364,17 @@ class TestScreen:
         assert code == 2 and loads == []
         assert f"--out {out_path!r} {error}" in capsys.readouterr().err
 
+    def test_unwritable_out_exit_2_before_screening(self, tmp_path, capsys, monkeypatch):
+        # a name that the file system refuses: found before the screen runs, not when its output is written
+        data = self.fixture_33(tmp_path)
+        out_path = str(tmp_path / ("a" * 300 + ".csv"))
+        screens = []
+        monkeypatch.setattr(cli, "pairwise_screen", lambda *a, **k: screens.append(a))
+        code = main(["screen", "--data", data, "--out", out_path, "--seed", "1"])
+        assert code == 2 and screens == []
+        assert f"--out {out_path!r} cannot be written: File name too long" in capsys.readouterr().err
+        assert not [name for name in os.listdir(tmp_path) if name.startswith("tmp") and name.endswith(".tmp")]
+
     def test_every_pair_skipped_exit_3_with_warnings(self, tmp_path, capsys):
         # a and b share no complete row under pairwise-drop
         data = tmp_path / "gapped.csv"

@@ -31,6 +31,7 @@ from distcorr.errors import (
 from distcorr.oracles import dcov_sq_oracle_sums
 from distcorr.samples import _deviations, _euclidean, _shift_distances, as_sample
 
+import centered
 from centered import dense
 
 
@@ -327,6 +328,17 @@ class TestDcovSq:
             direct = float((np.abs(np.subtract.outer(x, x)) * np.abs(np.subtract.outer(y, y))).sum())
             orders = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
             assert cross_term(x, y, *orders) == pytest.approx(direct, rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 300, 65_535, 65_536, 65_537, 100_000, 131_072, 131_073])
+    def test_cross_term_equals_the_first_one_bit_for_bit(self, n):
+        # uint16 radix keys up to 2^17 rows and (block, rank) int64 keys above; ties at 300 rows
+        rng = np.random.default_rng(n)
+        x = rng.integers(0, 7, n).astype(float) if n == 300 else rng.normal(size=n)
+        y = rng.integers(0, 5, n).astype(float) if n == 300 else np.sin(2.0 * x) + 0.3 * rng.normal(size=n)
+        for y in (y, np.full(n, 0.5)):  # and against a constant column
+            orders = np.argsort(x, kind="stable"), np.argsort(y, kind="stable")
+            assert cross_term(x, y, *orders) == centered.cross_term(x, y, *orders)
+            assert cross_term(y, x, *orders[::-1]) == centered.cross_term(y, x, *orders[::-1])
 
     def test_sorted_dcor_takes_one_cross_term(self, monkeypatch):
         calls = []
